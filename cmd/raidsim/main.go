@@ -57,10 +57,10 @@
 // control — the indicator control variate ("cv") for no-scrub regimes, or
 // the conditional-DDF variate ("cond") for scrubbed ones, where the
 // indicator loses its correlation ("all" enables antithetic+stratify+cv;
-// "cond" requires a memoryless defect process and excludes "cv"). Any -vr
-// value, or a bare -batch-block, routes the run through the batched block
-// engine, which is bit-identical to the scalar engines when no technique
-// is enabled.
+// "cond" requires a memoryless defect process and excludes "cv"). Every
+// run uses the batched block engine unless its configuration needs the
+// event engine (a coupled -topology); -batch-block sets the block length,
+// which is also the VR block size.
 package main
 
 import (
@@ -128,7 +128,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	bias := fs.Float64("bias", 0, "importance sampling: operational-failure hazard scale factor (0 or 1 = off)")
 	biasLd := fs.Float64("bias-ld", 0, "importance sampling: latent-defect hazard scale factor (0 or 1 = off; rarely useful, see DESIGN.md)")
 	vrFlag := fs.String("vr", "", "variance reduction: comma list of antithetic, stratify, cv, cond — or all (empty = off)")
-	batchBlock := fs.Int("batch-block", 0, "block engine batch length / VR block size (0 = default; setting it routes through the block engine)")
+	batchBlock := fs.Int("batch-block", 0, "block engine batch length / VR block size (0 = default)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 	if err := fs.Parse(args); err != nil {

@@ -200,6 +200,36 @@ func TestRunCheckpointThenResume(t *testing.T) {
 	}
 }
 
+// testdata/v1-event-seed7.ckpt.json is a version-1 checkpoint of the
+// default config written by `raidsim -max-iterations 3000 -batch 1000
+// -seed 7 -checkpoint ...` when campaigns ran on the event engine, and
+// resume-v1-seed7.golden is that release's uninterrupted
+// `raidsim -max-iterations 6000 -batch 1000 -seed 7`. Resuming the old
+// checkpoint must continue on the event engine and print exactly that.
+func TestRunResumeLegacyV1Checkpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-event-seed7.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "resume-v1-seed7.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	if err := run(context.Background(), []string{
+		"-max-iterations", "6000", "-batch", "1000", "-seed", "7", "-resume", path,
+	}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("resumed legacy campaign differs from the uninterrupted event-engine run:\n--- got\n%s--- want\n%s", got.String(), want)
+	}
+}
+
 // Resuming under a different configuration must fail loudly, not
 // silently mix streams.
 func TestRunResumeMismatch(t *testing.T) {

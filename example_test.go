@@ -43,6 +43,6 @@ func ExampleNew() {
 	fmt.Printf("first-year DDFs per 1000 groups: %.1f (MTTDL predicts 0.028)\n", count)
 	fmt.Println("orders of magnitude apart:", count > 1)
 	// Output:
-	// first-year DDFs per 1000 groups: 14.0 (MTTDL predicts 0.028)
+	// first-year DDFs per 1000 groups: 12.0 (MTTDL predicts 0.028)
 	// orders of magnitude apart: true
 }

@@ -205,7 +205,7 @@ func TestDecodeCheckpointRejectsWeightMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodeCheckpoint(data, spec); err == nil {
+	if _, err := decodeCheckpoint(data, spec); err == nil {
 		t.Error("same-group events with different log weights accepted")
 	}
 
@@ -216,10 +216,11 @@ func TestDecodeCheckpointRejectsWeightMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := decodeCheckpoint(data, spec)
+	ck, err := decodeCheckpoint(data, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := ck.run
 	if !run.Weighted() {
 		t.Error("restored weighted checkpoint reports no weights")
 	}

@@ -9,10 +9,10 @@
 //     likelihood-ratio estimator when importance sampling (sim.Bias) is
 //     on — and stops once a target relative half-width (or an iteration /
 //     wall-clock budget) is reached;
-//  2. writes a versioned JSON checkpoint — per-group results plus the
-//     next RNG stream index — so a killed campaign resumes bit-for-bit
-//     identically (stream i is always assigned to iteration i, so the
-//     worker count and the kill point are both irrelevant);
+//  2. appends the batch to a versioned JSON checkpoint journal — per-group
+//     results plus the next RNG stream index — so a killed campaign resumes
+//     bit-for-bit identically (stream i is always assigned to iteration i,
+//     so the worker count and the kill point are both irrelevant);
 //  3. reports progress (iterations/sec, running DDF counts by cause, CI
 //     width, ETA) through a pluggable Progress sink.
 package campaign
@@ -46,7 +46,8 @@ type Spec struct {
 	Seed uint64
 	// Workers is the per-batch parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Engine selects the simulation engine (nil = sim.EventEngine).
+	// Engine selects the simulation engine (nil = sim.DefaultEngine of
+	// Config, the fastest engine that can run it).
 	Engine sim.Engine
 
 	// Offset shifts the campaign's RNG stream assignment: local iteration i
@@ -84,8 +85,9 @@ type Spec struct {
 	// time spent by a resumed-from run (0 = unlimited).
 	MaxDuration time.Duration
 
-	// Checkpoint, when non-empty, is a file path written atomically after
-	// every batch so the campaign can be killed and resumed.
+	// Checkpoint, when non-empty, is a checkpoint journal path: the first
+	// batch of a run rewrites it atomically, every later batch appends to
+	// it, so the campaign can be killed and resumed.
 	Checkpoint string
 	// Resume, when non-empty, is a checkpoint file to restore before
 	// running. When Checkpoint is empty, checkpoints continue to be
@@ -110,12 +112,8 @@ func (s Spec) withDefaults() Spec {
 	if s.Config.VR.Enabled() {
 		// Variance reduction acts within blocks of consecutive iterations, so
 		// every batch must cover whole blocks: round the batch size and any
-		// iteration budget up to block multiples, and default the engine to
-		// the block engine VR requires. A split block would stratify over a
-		// partial quantile range and bias its block mean.
-		if s.Engine == nil {
-			s.Engine = sim.BlockEngine{}
-		}
+		// iteration budget up to block multiples. A split block would
+		// stratify over a partial quantile range and bias its block mean.
 		bs := s.Config.VR.EffectiveBlock()
 		if bs > 0 {
 			s.BatchSize = roundUp(s.BatchSize, bs)
@@ -176,14 +174,15 @@ func (s Spec) validate() error {
 		return fmt.Errorf("campaign: no stopping rule (set TargetRelErr, MaxIterations, or MaxDuration)")
 	}
 	if s.Config.VR.Enabled() {
-		if _, ok := s.Engine.(sim.BlockEngine); !ok {
-			return fmt.Errorf("campaign: variance reduction requires sim.BlockEngine, got %T", s.Engine)
-		}
 		if bs := s.Config.VR.EffectiveBlock(); s.Offset%bs != 0 {
 			return fmt.Errorf("campaign: stream offset %d is not a multiple of the VR block size %d (shards must start on block boundaries)", s.Offset, bs)
 		}
 	}
-	if s.Fleet != nil {
+	if s.Fleet == nil {
+		if err := sim.EngineSupports(s.Engine, s.Config); err != nil {
+			return err
+		}
+	} else {
 		if s.Engine != nil {
 			return fmt.Errorf("campaign: fleet campaigns use the dedicated fleet engine; Engine must be nil, got %T", s.Engine)
 		}
@@ -328,13 +327,17 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	batches := 0
 	resumedFrom := 0
 	if spec.Resume != "" {
-		restored, restoredBatches, err := loadCheckpoint(spec.Resume, spec)
+		ck, err := loadCheckpoint(spec.Resume, spec)
 		if err != nil {
 			return nil, err
 		}
-		run = restored
-		batches = restoredBatches
+		run, batches, spec.Engine = ck.run, ck.batches, ck.engine
 		resumedFrom = run.Groups
+	}
+	var ckpt *journal
+	if path := spec.checkpointPath(); path != "" {
+		ckpt = &journal{path: path, spec: spec}
+		defer ckpt.close()
 	}
 
 	start := spec.now()
@@ -355,6 +358,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		if res.Reason != StopNone {
 			report(spec, res, start, true)
+			if ckpt != nil {
+				if err := ckpt.close(); err != nil {
+					return nil, fmt.Errorf("campaign: checkpoint: %w", err)
+				}
+			}
 			return res, nil
 		}
 
@@ -377,8 +385,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		run.Merge(br)
 		batches++
 
-		if path := spec.checkpointPath(); path != "" {
-			if err := saveCheckpoint(path, spec, run, batches); err != nil {
+		if ckpt != nil {
+			if err := ckpt.save(run, batches); err != nil {
 				return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 			}
 		}

@@ -190,10 +190,11 @@ func TestRunCancelKeepsCheckpointCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
 	}
-	restored, restoredBatches, err := decodeCheckpoint(data, spec.withDefaults())
+	ck, err := decodeCheckpoint(data, spec.withDefaults())
 	if err != nil {
 		t.Fatalf("checkpoint after cancel not loadable: %v", err)
 	}
+	restored, restoredBatches := ck.run, ck.batches
 	if restored.Groups != part.Iterations || restoredBatches != part.Batches {
 		t.Fatalf("checkpoint holds %d iterations in %d batches, campaign stopped at %d in %d",
 			restored.Groups, restoredBatches, part.Iterations, part.Batches)

@@ -105,10 +105,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, batches, err := loadCheckpoint(path, spec.withDefaults())
+	ck, err := loadCheckpoint(path, spec.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored, batches := ck.run, ck.batches
 	if batches != res.Batches {
 		t.Errorf("restored %d batches, want %d", batches, res.Batches)
 	}
@@ -170,10 +171,11 @@ func TestCheckpointRoundTripWithTopology(t *testing.T) {
 		t.Error("campaign result did not surface unavailable groups")
 	}
 
-	restored, _, err := loadCheckpoint(path, spec.withDefaults())
+	ck, err := loadCheckpoint(path, spec.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := ck.run
 	if restored.UnavailEvents != res.Run.UnavailEvents {
 		t.Errorf("restored %d unavailability onsets, want %d", restored.UnavailEvents, res.Run.UnavailEvents)
 	}
@@ -254,38 +256,39 @@ func TestResumeRejectsBadFiles(t *testing.T) {
 }
 
 func TestCheckpointWritesAreAtomic(t *testing.T) {
-	// After every batch the file on disk must parse as a complete
-	// checkpoint — the tmp+rename protocol never exposes partial writes.
+	// After every batch the file on disk must decode as a complete
+	// checkpoint of exactly the batches run so far: the header's tmp+rename
+	// and each appended frame's trailing newline never expose partial state.
 	path := filepath.Join(t.TempDir(), "c.json")
-	seen := 0
-	_, err := Run(context.Background(), Spec{
+	spec := Spec{
 		Config:        fastConfig(),
 		Seed:          11,
 		BatchSize:     100,
 		MaxIterations: 300,
 		Checkpoint:    path,
-		Progress: ProgressFunc(func(s Snapshot) {
-			if s.Done {
-				return
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Errorf("after batch %d: %v", s.Batches, err)
-				return
-			}
-			var doc checkpointFile
-			if err := json.Unmarshal(data, &doc); err != nil {
-				t.Errorf("after batch %d: unparsable checkpoint: %v", s.Batches, err)
-				return
-			}
-			if doc.NextStream != s.Iterations {
-				t.Errorf("after batch %d: checkpoint next_stream %d != %d iterations",
-					s.Batches, doc.NextStream, s.Iterations)
-			}
-			seen++
-		}),
+	}
+	seen := 0
+	spec.Progress = ProgressFunc(func(s Snapshot) {
+		if s.Done {
+			return
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("after batch %d: %v", s.Batches, err)
+			return
+		}
+		ck, err := decodeCheckpoint(data, spec.withDefaults())
+		if err != nil {
+			t.Errorf("after batch %d: undecodable checkpoint: %v", s.Batches, err)
+			return
+		}
+		if ck.run.Groups != s.Iterations || ck.batches != s.Batches {
+			t.Errorf("after batch %d: checkpoint holds %d iterations in %d batches, want %d in %d",
+				s.Batches, ck.run.Groups, ck.batches, s.Iterations, s.Batches)
+		}
+		seen++
 	})
-	if err != nil {
+	if _, err := Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 3 {

@@ -13,6 +13,10 @@ import (
 // so a silent change would orphan every on-disk checkpoint and split the
 // cache. If this test fails, either revert the change to Fingerprint or
 // bump CheckpointVersion and migrate deliberately.
+//
+// A nil engine names the engine it resolves to (sim.DefaultEngine, here the
+// block engine); the explicit event-engine digest is the one every nil-engine
+// checkpoint carried before that rule, and resumes still accept it.
 func TestFingerprintStability(t *testing.T) {
 	spec := Spec{
 		Config: sim.Config{
@@ -26,9 +30,18 @@ func TestFingerprintStability(t *testing.T) {
 		},
 		Seed: 42,
 	}
-	const want = "41bd9c5d9dffb37f"
-	if got := spec.Fingerprint(); got != want {
-		t.Errorf("fingerprint changed: got %s, want %s (cache keys and checkpoints would be orphaned)", got, want)
+	for _, c := range []struct {
+		engine sim.Engine
+		want   string
+	}{
+		{sim.EventEngine{}, "41bd9c5d9dffb37f"},
+		{nil, "4baaf4bc1d7bbbea"},
+		{sim.BlockEngine{}, "4baaf4bc1d7bbbea"},
+	} {
+		spec.Engine = c.engine
+		if got := spec.Fingerprint(); got != c.want {
+			t.Errorf("engine %T: fingerprint changed: got %s, want %s (cache keys and checkpoints would be orphaned)", c.engine, got, c.want)
+		}
 	}
 }
 

@@ -237,10 +237,11 @@ func TestFleetCheckpointValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, _, err := loadCheckpoint(path, spec.withDefaults())
+	ck, err := loadCheckpoint(path, spec.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := ck.run
 	if restored.Fleet == nil || *restored.Fleet != *res.Fleet {
 		t.Errorf("restored fleet tally %+v differs from the live campaign's %+v", restored.Fleet, res.Fleet)
 	}
@@ -249,8 +250,8 @@ func TestFleetCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc checkpointFile
-	if err := json.Unmarshal(data, &doc); err != nil {
+	doc, err := parseJournal(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	corrupt := func(name string, mutate func(*checkpointFile)) {
@@ -262,7 +263,7 @@ func TestFleetCheckpointValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodeCheckpoint(raw, spec.withDefaults()); err == nil {
+		if _, err := decodeCheckpoint(raw, spec.withDefaults()); err == nil {
 			t.Errorf("%s: corrupted checkpoint accepted", name)
 		}
 	}

@@ -48,11 +48,34 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte("{not json"))
 	f.Add([]byte(`{"version":1,"events":[{"g":1e99,"t":"x"}]}`))
 
+	// Version-2 journals: the header line, then one frame per later batch.
+	header, err := json.Marshal(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	journal := func(frames ...string) []byte {
+		out := append(append([]byte(nil), header...), '\n')
+		for _, fr := range frames {
+			out = append(out, fr...)
+		}
+		return out
+	}
+	const frame2 = `{"next_stream":200,"batches":2,"events":[{"g":150,"t":10,"c":1}]}` + "\n"
+	f.Add(journal(frame2))
+	f.Add(journal(frame2, `{"next_stream":300,"batches":3,"events":[{"g":2`))                // torn tail
+	f.Add(journal(frame2, "\x00\x17garbage frame\n"))                                        // complete garbage frame
+	f.Add(journal(`{"next_stream":100,"batches":2,"events":[]}` + "\n"))                     // next_stream does not advance
+	f.Add(journal(frame2, `{"next_stream":300,"batches":2,"events":[]}`+"\n"))               // batches do not advance
+	f.Add(journal(`{"next_stream":200,"batches":2,"events":[{"g":2,"t":10,"c":1}]}` + "\n")) // event sorts before earlier ones
+	f.Add(journal(`{"next_stream":200,"batches":2,"events":[{"g":160,"t":9,"c":1},{"g":150,"t":1,"c":2}]}` + "\n"))
+	f.Add(journal(`{"next_stream":200,"batches":2,"vr_blocks":[{"y":1,"n":100}],"events":[]}` + "\n"))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		run, batches, err := decodeCheckpoint(data, spec)
+		ck, err := decodeCheckpoint(data, spec)
 		if err != nil {
 			return
 		}
+		run, batches := ck.run, ck.batches
 		// Accepted documents must be internally consistent.
 		if batches < 0 {
 			t.Fatalf("accepted checkpoint with %d batches", batches)
@@ -60,9 +83,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if run.Groups < 0 {
 			t.Fatalf("accepted checkpoint with %d groups", run.Groups)
 		}
-		if run.TotalDDFs != len(run.Events) || run.TotalDDFs != run.OpOpDDFs+run.LdOpDDFs {
-			t.Fatalf("inconsistent tallies: total=%d events=%d opop=%d ldop=%d",
-				run.TotalDDFs, len(run.Events), run.OpOpDDFs, run.LdOpDDFs)
+		if run.TotalDDFs+run.UnavailEvents != len(run.Events) || run.TotalDDFs != run.OpOpDDFs+run.LdOpDDFs {
+			t.Fatalf("inconsistent tallies: total=%d unavail=%d events=%d opop=%d ldop=%d",
+				run.TotalDDFs, run.UnavailEvents, len(run.Events), run.OpOpDDFs, run.LdOpDDFs)
 		}
 		for i, e := range run.Events {
 			if e.Group < 0 || e.Group >= run.Groups {

@@ -157,7 +157,7 @@ func TestVRCampaignEstimator(t *testing.T) {
 }
 
 // TestVRSpecAlignment: batch sizes and iteration budgets are rounded up to
-// whole VR blocks, the engine defaults to the block engine, and misaligned
+// whole VR blocks, a nil engine resolves to the block engine, and misaligned
 // shard offsets or non-block engines are rejected outright.
 func TestVRSpecAlignment(t *testing.T) {
 	spec := vrSpec()
@@ -170,8 +170,15 @@ func TestVRSpecAlignment(t *testing.T) {
 	if d.MaxIterations != 128 {
 		t.Errorf("MaxIterations defaulted to %d, want 128", d.MaxIterations)
 	}
-	if _, ok := d.Engine.(sim.BlockEngine); !ok {
-		t.Errorf("engine defaulted to %T, want sim.BlockEngine", d.Engine)
+	if _, ok := sim.DefaultEngine(d.Config).(sim.BlockEngine); !ok {
+		t.Errorf("nil engine resolves to %T, want sim.BlockEngine", sim.DefaultEngine(d.Config))
+	}
+	// VR campaigns always ran on the block engine, so their nil-engine
+	// fingerprints (and checkpoints) are unchanged by the default rule.
+	explicit := d
+	explicit.Engine = sim.BlockEngine{}
+	if d.Fingerprint() != explicit.Fingerprint() {
+		t.Error("nil-engine VR fingerprint differs from the explicit block engine's")
 	}
 
 	offset := vrSpec()
@@ -237,10 +244,11 @@ func TestVRCheckpointValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, _, err := loadCheckpoint(path, spec.withDefaults())
+	ck, err := loadCheckpoint(path, spec.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := ck.run
 	if !reflect.DeepEqual(restored.VR, res.Run.VR) {
 		t.Error("restored VR tallies differ from the live campaign's")
 	}
@@ -249,8 +257,8 @@ func TestVRCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc checkpointFile
-	if err := json.Unmarshal(data, &doc); err != nil {
+	doc, err := parseJournal(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	corrupt := func(name string, mutate func(*checkpointFile)) {
@@ -261,7 +269,7 @@ func TestVRCheckpointValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodeCheckpoint(raw, spec.withDefaults()); err == nil {
+		if _, err := decodeCheckpoint(raw, spec.withDefaults()); err == nil {
 			t.Errorf("%s: corrupted checkpoint accepted", name)
 		}
 	}

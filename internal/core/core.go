@@ -212,9 +212,8 @@ type Params struct {
 
 	// VR optionally stacks block-level variance reduction (antithetic
 	// stream pairs, stratified first-failure quantiles, analytic control
-	// variate) on top of plain or importance-sampled simulation. Any
-	// enabled technique routes the run through the batched block engine;
-	// the zero value changes nothing.
+	// variate) on top of plain or importance-sampled simulation, on the
+	// batched block engine; the zero value changes nothing.
 	VR sim.VR `json:"vr"`
 
 	// Fleet optionally couples each iteration's RAID groups into a fleet
@@ -427,16 +426,6 @@ func (m *Model) Params() Params { return m.params }
 // sim.SimulateTraced or swapping in custom engines.
 func (m *Model) SimConfig() sim.Config { return m.cfg }
 
-// engine returns the engine the model's configuration calls for: the
-// batched block engine whenever variance reduction (or an explicit block
-// size) is requested, otherwise nil for the runner's default.
-func (m *Model) engine() sim.Engine {
-	if m.cfg.VR.Enabled() || m.cfg.VR.BlockSize > 0 {
-		return sim.BlockEngine{}
-	}
-	return nil
-}
-
 // Run simulates the given number of independent RAID groups with the given
 // seed and returns the aggregated result. Iterations is the paper's "RAID
 // groups monitored": 1,000 groups × 10 years in the headline numbers. For
@@ -449,7 +438,6 @@ func (m *Model) Run(iterations int, seed uint64) (*Result, error) {
 		Config:     m.cfg,
 		Iterations: iterations,
 		Seed:       seed,
-		Engine:     m.engine(),
 		Fleet:      m.params.Fleet,
 	})
 	if err != nil {
@@ -493,7 +481,8 @@ type AdaptiveOptions struct {
 	MaxIterations int
 	// MaxDuration is a wall-clock budget (0 = unlimited).
 	MaxDuration time.Duration
-	// Checkpoint, when set, is written atomically after every batch.
+	// Checkpoint, when set, is the checkpoint journal, brought up to date
+	// after every batch.
 	Checkpoint string
 	// Resume, when set, restores a checkpoint before running; further
 	// checkpoints go to the same path unless Checkpoint overrides it.
@@ -522,7 +511,6 @@ func (m *Model) RunAdaptive(ctx context.Context, seed uint64, opts AdaptiveOptio
 		Config:        m.cfg,
 		Seed:          seed,
 		Workers:       opts.Workers,
-		Engine:        m.engine(),
 		BatchSize:     opts.BatchSize,
 		MinIterations: opts.MinIterations,
 		TargetRelErr:  opts.TargetRelErr,

@@ -142,6 +142,11 @@ func (js JobSpec) CacheKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return js.cacheKey(fp), nil
+}
+
+// cacheKey is CacheKey for the config fingerprint fp.
+func (js JobSpec) cacheKey(fp string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|iters=%d;target=%g;conf=%g;maxdur=%g",
 		fp, js.Iterations, js.TargetRelErr, js.Confidence, js.MaxDurationS)
@@ -151,7 +156,7 @@ func (js JobSpec) CacheKey() (string, error) {
 	if js.Shard != nil {
 		fmt.Fprintf(&b, "|shard=%d/%d", js.Shard.Index, js.Shard.Count)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // unsharded returns the job the whole campaign would be: the same spec

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"raidrel/internal/campaign"
+	"raidrel/internal/sim"
 )
 
 // Options configures a Server.
@@ -332,10 +333,19 @@ func (s *Server) runJob(j *Job) {
 	if dir := s.opts.CheckpointDir; dir != "" {
 		path := filepath.Join(dir, checkpointName(j.CacheKey))
 		spec.Checkpoint = path
-		if _, err := os.Stat(path); err == nil {
-			// A previous process (or a canceled run) left a checkpoint for
-			// this exact spec: continue it instead of starting over.
-			spec.Resume = path
+		// A previous process (or a canceled run) left a checkpoint for this
+		// exact spec: continue it instead of starting over. Before a nil
+		// engine resolved to sim.DefaultEngine, the file was named by the
+		// event-engine cache key; the campaign resumes such a checkpoint on
+		// the event engine and journals it under the new name.
+		legacy := spec
+		legacy.Engine = sim.EventEngine{}
+		legacyPath := filepath.Join(dir, checkpointName(j.Spec.cacheKey(legacy.Fingerprint())))
+		for _, p := range []string{path, legacyPath} {
+			if _, err := os.Stat(p); err == nil {
+				spec.Resume = p
+				break
+			}
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"raidrel/internal/campaign"
+	"raidrel/internal/sim"
 )
 
 func waitDone(t *testing.T, j *Job) {
@@ -301,6 +302,91 @@ func TestDrainCheckpointsAndResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res2.Run.Events, want.Run.Events) || res2.GroupsWithDDF != want.GroupsWithDDF {
 		t.Fatal("resumed result differs from an uninterrupted run")
+	}
+}
+
+// testdata/d9088091ac799d91.ckpt.json is a drained job's checkpoint as
+// raidreld wrote it when a nil engine meant the event engine: version 1,
+// 2,000 of the spec's 60,000 iterations, named by the event-engine cache
+// key.
+// A current server must find it under that name, continue on the event
+// engine, and journal under the job's new name; a drain and a second server
+// then finish the campaign, bit-identical to an uninterrupted event-engine
+// run, with no iteration simulated twice.
+func TestDrainResumesLegacyCheckpointName(t *testing.T) {
+	const legacyName = "d9088091ac799d91.ckpt.json"
+	spec := JobSpec{Params: fastParams(), Seed: 81, Iterations: 60_000, BatchSize: 1000}
+	dir := t.TempDir()
+	data, err := os.ReadFile(filepath.Join("testdata", legacyName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s1 := New(Options{MaxConcurrent: 1, Workers: 2, CheckpointDir: dir})
+	j1, _, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkpointName(j1.CacheKey) == legacyName {
+		t.Fatal("the job kept its event-engine checkpoint name; the test is vacuous")
+	}
+	ch := j1.Subscribe()
+	select {
+	case <-ch:
+	case <-j1.Done():
+		_, err := j1.Result()
+		t.Fatalf("job ended (%s, %v) before its first batch", j1.State(), err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no progress before drain")
+	}
+	j1.Unsubscribe(ch)
+	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(dctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	res1, _ := j1.Result()
+	if res1 == nil || res1.ResumedFrom != 2000 || res1.Iterations >= spec.Iterations {
+		t.Fatalf("first server's job: %+v, want a partial campaign resumed from the legacy checkpoint's 2000 iterations", res1)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointName(j1.CacheKey))); err != nil {
+		t.Fatalf("no checkpoint under the new name after drain: %v", err)
+	}
+
+	s2 := New(Options{MaxConcurrent: 1, Workers: 2, CheckpointDir: dir})
+	defer s2.Drain(context.Background())
+	j2, _, err := s2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j2)
+	res2, err := j2.Result()
+	if err != nil || res2 == nil {
+		t.Fatalf("resumed job failed: %v", err)
+	}
+	if res2.ResumedFrom != res1.Iterations || res2.Iterations != spec.Iterations {
+		t.Fatalf("second server resumed from %d and finished at %d, want %d and %d",
+			res2.ResumedFrom, res2.Iterations, res1.Iterations, spec.Iterations)
+	}
+	total := s1.Metrics().IterationsSimulated + s2.Metrics().IterationsSimulated
+	if total != uint64(spec.Iterations-2000) {
+		t.Fatalf("the two servers simulated %d iterations together, want exactly %d", total, spec.Iterations-2000)
+	}
+
+	cspec, err := spec.campaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cspec.Engine = sim.EventEngine{}
+	want, err := campaign.Run(context.Background(), cspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res2.Run.Events, want.Run.Events) || res2.CI != want.CI {
+		t.Fatal("resumed legacy campaign differs from an uninterrupted event-engine run")
 	}
 }
 

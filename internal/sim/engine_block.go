@@ -251,11 +251,11 @@ func (sc *blockScratch) prep(cfg *Config) error {
 	if cfg.Topology.Coupled() {
 		return errUnsupported("block", "a coupled component topology")
 	}
-	sc.kern.compile(cfg)
-	if err := sc.checkCompiled(cfg); err != nil {
-		sc.kern.release()
-		return err
+	// The exp-domain transforms have no generic fallback.
+	if what := uncompiled(cfg); what != "" {
+		return fmt.Errorf("sim: the block engine requires compiled (Weibull or Exponential) kernels, but %s does not compile; use IntervalEngine or EventEngine", what)
 	}
+	sc.kern.compile(cfg)
 	sc.latent = cfg.Trans.latentEnabled()
 	sc.hasScrub = cfg.Trans.TTScrub != nil
 
@@ -349,44 +349,6 @@ func (sc *blockScratch) prepCond(cfg *Config) {
 		model.TKinks = append(model.TKinks, support)
 	}
 	sc.ez = model.EZ()
-}
-
-// checkCompiled verifies every configured distribution compiled to a
-// specialized kernel; the block engine's exp-domain transforms have no
-// generic fallback.
-func (sc *blockScratch) checkCompiled(cfg *Config) error {
-	reject := func(what string) error {
-		return fmt.Errorf("sim: the block engine requires compiled (Weibull or Exponential) kernels, but %s does not compile; use IntervalEngine or EventEngine", what)
-	}
-	if sc.kern.biasOp {
-		for i := range sc.kern.ttopTilt {
-			if !sc.kern.ttopTilt[i].Compiled() {
-				return reject(fmt.Sprintf("slot %d's TTOp distribution", i))
-			}
-		}
-	} else {
-		for i := range sc.kern.ttop {
-			if !sc.kern.ttop[i].Compiled() {
-				return reject(fmt.Sprintf("slot %d's TTOp distribution", i))
-			}
-		}
-	}
-	if !sc.kern.ttr.Compiled() {
-		return reject("the TTR distribution")
-	}
-	if cfg.Trans.TTLd != nil {
-		if sc.kern.biasLd {
-			if !sc.kern.ttldTilt.Compiled() {
-				return reject("the TTLd distribution")
-			}
-		} else if !sc.kern.ttld.Compiled() {
-			return reject("the TTLd distribution")
-		}
-	}
-	if cfg.Trans.TTScrub != nil && !sc.kern.scrub.Compiled() {
-		return reject("the TTScrub distribution")
-	}
-	return nil
 }
 
 // release drops configuration references so the pooled scratch does not

@@ -16,7 +16,7 @@ func TestFleetRunMatchesScalarRun(t *testing.T) {
 	cfg.Trans.TTLd = dist.MustExponential(5e-4)
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
 	const n = 480
-	scalar, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 99, Workers: 3})
+	scalar, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 99, Workers: 3, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}

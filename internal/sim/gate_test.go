@@ -35,7 +35,7 @@ func TestEngineFeatureMatrix(t *testing.T) {
 		name string
 		e    Engine
 	}{
-		{"event", nil}, // nil defaults to EventEngine
+		{"default", nil}, // nil resolves through DefaultEngine
 		{"event-explicit", EventEngine{}},
 		{"interval", IntervalEngine{}},
 		{"block", BlockEngine{}},
@@ -43,15 +43,15 @@ func TestEngineFeatureMatrix(t *testing.T) {
 	// want[feature][engine] is the required error substring; "" means the
 	// combination must be accepted.
 	want := map[string]map[string]string{
-		"plain":    {"event": "", "event-explicit": "", "interval": "", "block": ""},
-		"bias":     {"event": "", "event-explicit": "", "interval": "", "block": ""},
-		"spares":   {"event": "", "event-explicit": "", "interval": "finite spare pool", "block": "finite spare pool"},
-		"topology": {"event": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
+		"plain":    {"default": "", "event-explicit": "", "interval": "", "block": ""},
+		"bias":     {"default": "", "event-explicit": "", "interval": "", "block": ""},
+		"spares":   {"default": "", "event-explicit": "", "interval": "finite spare pool", "block": "finite spare pool"},
+		"topology": {"default": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
 		"vr": {
-			"event": "variance reduction requires the block engine", "event-explicit": "variance reduction requires the block engine",
+			"default": "", "event-explicit": "variance reduction requires the block engine",
 			"interval": "variance reduction requires the block engine", "block": "",
 		},
-		"bias+topology": {"event": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
+		"bias+topology": {"default": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
 	}
 
 	for _, f := range features {
@@ -110,5 +110,55 @@ func TestEngineFeatureMatrix(t *testing.T) {
 	cfg.Topology = topo()
 	if err := cfg.Validate(); err == nil {
 		t.Error("spares+topology passed Validate")
+	}
+}
+
+// DefaultEngine picks the block engine wherever it can run the config and
+// the event engine wherever it cannot; VR always resolves to the block
+// engine, its only implementation.
+func TestDefaultEngine(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want Engine
+	}{
+		{"plain", func(c *Config) {}, BlockEngine{}},
+		{"bias", func(c *Config) { c.Bias = Bias{Op: 4} }, BlockEngine{}},
+		{"vr", func(c *Config) { c.VR = VR{Antithetic: true} }, BlockEngine{}},
+		{"spares", func(c *Config) { c.Spares = &SparePolicy{Initial: 1, ReplenishHours: 24} }, EventEngine{}},
+		{"topology", func(c *Config) {
+			c.Topology = &Topology{Components: []Component{{
+				Name: "enc", Drives: []int{0, 1},
+				TTOp: dist.MustExponential(1e-5), TTR: dist.MustExponential(1e-3),
+			}}}
+		}, EventEngine{}},
+		{"uncompiled ttop", func(c *Config) {
+			c.Trans.TTOp = dist.MustCompetingRisks([]dist.Distribution{dist.MustWeibull(0.6, 3e6, 0), dist.MustWeibull(3, 2e5, 0)})
+		}, EventEngine{}},
+		{"uncompiled slot", func(c *Config) {
+			c.SlotTTOp = make([]dist.Distribution, c.Drives)
+			c.SlotTTOp[3] = dist.MustLogNormal(10, 1)
+		}, EventEngine{}},
+	}
+	for _, c := range cases {
+		cfg := fastConfig()
+		cfg.Mission = 2000
+		c.mut(&cfg)
+		got := DefaultEngine(cfg)
+		if got != c.want {
+			t.Errorf("%s: DefaultEngine = %T, want %T", c.name, got, c.want)
+		}
+		// Whatever it picks must run the config.
+		if err := RunCollect(RunSpec{Config: cfg, Iterations: 8, Seed: 1, Workers: 2},
+			CollectorFunc(func(int, []DDF, float64) {})); err != nil {
+			t.Errorf("%s: default engine rejected the config: %v", c.name, err)
+		}
+		// And the block engine rejects exactly the uncompiled configs it was
+		// steered away from, naming the distribution.
+		if strings.HasPrefix(c.name, "uncompiled") {
+			if _, _, err := (BlockEngine{}).SimulateInto(cfg, rng.New(1), nil); err == nil || !strings.Contains(err.Error(), "does not compile") {
+				t.Errorf("%s: block engine = %v, want a does-not-compile rejection", c.name, err)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ type RunSpec struct {
 	Iterations int
 	Seed       uint64
 	Workers    int    // 0 = GOMAXPROCS
-	Engine     Engine // nil = EventEngine
+	Engine     Engine // nil = DefaultEngine(Config)
 
 	// Offset shifts the RNG stream assignment: iteration i of this run
 	// draws from rng.ForStream(Seed, Offset+i). Batched campaigns use it
@@ -189,7 +189,7 @@ func RunCollect(spec RunSpec, c Collector) error {
 	}
 	engine := spec.Engine
 	if engine == nil {
-		engine = EventEngine{}
+		engine = DefaultEngine(spec.Config)
 	}
 	// Uniform feature gating: reject combinations the chosen engine cannot
 	// express (finite spares or coupled topologies off the event engine,

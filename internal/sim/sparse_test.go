@@ -27,7 +27,7 @@ func TestRunSparseMatchesSerialSimulate(t *testing.T) {
 		t.Fatal("fast config produced no DDFs; test is vacuous")
 	}
 
-	got, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 99, Workers: 5})
+	got, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 99, Workers: 5, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRunCollectObservesInOrder(t *testing.T) {
 func TestSparseDenseMatchesPerStream(t *testing.T) {
 	cfg := fastConfig()
 	const n = 200
-	sparse, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 3})
+	sparse, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 3, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,10 @@ func TestSparseResultConcurrentAccess(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		// The writer stops at a fixed size: every reader call is linear in
+		// the accumulated events, so an unbounded writer made the test's
+		// run time depend on how the scheduler interleaved the two.
+		for i := 0; i < 30_000; i++ {
 			select {
 			case <-done:
 				return
