@@ -155,23 +155,10 @@ func baseSimConfig() sim.Config {
 	}
 }
 
-// BenchmarkEngineTimeline measures the event-queue engine per group
-// chronology.
-func BenchmarkEngineTimeline(b *testing.B) {
-	cfg := baseSimConfig()
-	engine := sim.EventEngine{}
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Simulate(cfg, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineTimelineInto measures the zero-allocation hot path the
-// Monte Carlo workers actually run: one reseeded RNG and one reused DDF
-// buffer per worker, stream i driving iteration i.
+// BenchmarkEngineTimelineInto measures the event-queue engine per group
+// chronology on the zero-allocation hot path the Monte Carlo workers
+// actually run: one reseeded RNG and one reused DDF buffer per worker,
+// stream i driving iteration i.
 func BenchmarkEngineTimelineInto(b *testing.B) {
 	cfg := baseSimConfig()
 	engine := sim.EventEngine{}
@@ -213,22 +200,8 @@ func BenchmarkEngineTimelineFlatTopoInto(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSequential measures the Fig. 5 interval engine on the
-// same configuration.
-func BenchmarkEngineSequential(b *testing.B) {
-	cfg := baseSimConfig()
-	engine := sim.IntervalEngine{}
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Simulate(cfg, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineSequentialInto measures the interval engine's scratch-
-// reusing append path.
+// BenchmarkEngineSequentialInto measures the Fig. 5 interval engine's
+// scratch-reusing append path on the same configuration.
 func BenchmarkEngineSequentialInto(b *testing.B) {
 	cfg := baseSimConfig()
 	engine := sim.IntervalEngine{}
@@ -364,21 +337,33 @@ func BenchmarkEngineSequentialBiasedInto(b *testing.B) {
 }
 
 // BenchmarkRunSparse measures the full streaming pipeline — workers,
-// in-order merge, sparse accumulation — in iterations per second.
+// in-order merge, sparse accumulation — in iterations per second, on the
+// default engine (the block engine here) and on the event engine, whose
+// per-iteration SimulateInto step is the runner's scalar path.
 func BenchmarkRunSparse(b *testing.B) {
-	cfg := baseSimConfig()
-	const iters = 2000
-	b.ReportAllocs()
-	var total int
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: iters, Seed: benchOpt.Seed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = res.TotalDDFs
+	for _, bc := range []struct {
+		name   string
+		engine sim.Engine
+	}{
+		{"default", nil},
+		{"engine=event", sim.EventEngine{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := baseSimConfig()
+			const iters = 2000
+			b.ReportAllocs()
+			var total int
+			for i := 0; i < b.N; i++ {
+				res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: iters, Seed: benchOpt.Seed, Engine: bc.engine})
+				if err != nil {
+					b.Fatal(err)
+				}
+				total = res.TotalDDFs
+			}
+			b.ReportMetric(float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
+			b.ReportMetric(float64(total), "ddfs")
+		})
 	}
-	b.ReportMetric(float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
-	b.ReportMetric(float64(total), "ddfs")
 }
 
 // BenchmarkRAID6Extension measures the redundancy-2 model and reports its
@@ -459,7 +444,7 @@ func BenchmarkBathtubTTOp(b *testing.B) {
 	var total int
 	for i := 0; i < b.N; i++ {
 		total = 0
-		res, err := sim.Run(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
+		res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,7 +468,7 @@ func BenchmarkScrubShapeAblation(b *testing.B) {
 		for _, scrub := range []dist.Distribution{weibullScrub, normalScrub} {
 			cfg := baseSimConfig()
 			cfg.Trans.TTScrub = scrub
-			res, err := sim.Run(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
+			res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -562,10 +547,10 @@ func BenchmarkRSEncodeRebuild(b *testing.B) { benchmarkCodec(b, raid.RAID6RS) }
 // ddfsBeforeResult builds one shared heavy-tail run for the DDFsBefore
 // benchmarks: a no-scrub configuration so tens of thousands of groups
 // carry events.
-func ddfsBeforeResult(b *testing.B) *sim.RunResult {
+func ddfsBeforeResult(b *testing.B) *sim.SparseResult {
 	cfg := baseSimConfig()
 	cfg.Trans.TTScrub = nil // no scrub: ~100× more DDFs to index
-	res, err := sim.Run(sim.RunSpec{Config: cfg, Iterations: 20000, Seed: 1})
+	res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: 20000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,17 +586,16 @@ func BenchmarkDDFsBeforeIndexed(b *testing.B) {
 }
 
 // BenchmarkDDFsBeforeScan measures the pre-optimization behaviour — a
-// full per-group scan at every query point — as the comparison baseline.
+// full scan of the event index at every query point — as the comparison
+// baseline.
 func BenchmarkDDFsBeforeScan(b *testing.B) {
 	res := ddfsBeforeResult(b)
 	grid := ddfsBeforeGrid(core.BaseMissionHours)
 	scan := func(t float64) int {
 		n := 0
-		for _, g := range res.PerGroup {
-			for _, d := range g {
-				if d.Time <= t {
-					n++
-				}
+		for _, e := range res.Events {
+			if e.Time <= t {
+				n++
 			}
 		}
 		return n

@@ -20,7 +20,7 @@ func TestSimulateIntoZeroAlloc(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		eng  IntoSimulator
+		eng  Engine
 	}{
 		{"EventEngine", EventEngine{}},
 		{"IntervalEngine", IntervalEngine{}},
@@ -223,4 +223,45 @@ func TestBlockRunnerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("warm %d-iteration block run made %d allocations, want a small constant (<= 256)", iters, allocs)
 	}
 	t.Logf("%d iterations: %d allocations", iters, allocs)
+}
+
+// TestEventRunnerSteadyStateAllocs pins the scalar step's allocation
+// contract through the dispatch loop: once the pools are warm, an
+// event-free EventEngine iteration allocates nothing, so a run four times
+// longer makes exactly as many allocations (the per-run goroutine and
+// channel plumbing) as a short one.
+func TestEventRunnerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the zero-alloc contract is gated in the non-race job")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P keeps every sync.Pool hit on the same per-P cache, as
+	// testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	cfg := paperBaseConfig()
+	cfg.Trans.TTOp = dist.MustExponential(1e-12)
+	mallocs := func(iters int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := &SparseResult{}
+		if err := RunCollect(RunSpec{
+			Config: cfg, Iterations: iters, Seed: 3, Workers: 1, Engine: EventEngine{},
+		}, res); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if res.TotalDDFs != 0 {
+			t.Fatal("config produced events; alloc check is not measuring the hot path")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const iters = 1 << 12
+	mallocs(4 * iters) // warm the engine scratch, unit, and channel pools
+	short, long := mallocs(iters), mallocs(4*iters)
+	if long != short {
+		t.Errorf("warm event-engine runs: %d iterations made %d allocations, %d made %d; want equal (0 per iteration)",
+			iters, short, 4*iters, long)
+	}
+	t.Logf("%d iterations: %d allocations per run", iters, short)
 }

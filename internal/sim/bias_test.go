@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"raidrel/internal/dist"
-	"raidrel/internal/rng"
 )
 
 // rareConfig is a constant-rate, no-latent-defect configuration with a
@@ -62,33 +61,6 @@ func TestBiasValidation(t *testing.T) {
 				t.Error("invalid config accepted")
 			}
 		})
-	}
-}
-
-// simulateOnly hides an engine's IntoSimulator fast path, leaving only the
-// weight-discarding Simulate method.
-type simulateOnly struct{ e Engine }
-
-func (s simulateOnly) Simulate(cfg Config, r *rng.RNG) ([]DDF, error) { return s.e.Simulate(cfg, r) }
-
-// A biased run through an engine without a weight channel would silently
-// drop every likelihood ratio; the runner must refuse it.
-func TestBiasRequiresIntoSimulator(t *testing.T) {
-	cfg := rareConfig()
-	cfg.Bias.Op = 4
-	_, err := RunSparse(RunSpec{
-		Config:     cfg,
-		Iterations: 10,
-		Seed:       1,
-		Engine:     simulateOnly{EventEngine{}},
-	})
-	if err == nil {
-		t.Fatal("biased run through a Simulate-only engine accepted")
-	}
-	// The same engine is fine unbiased.
-	cfg.Bias = Bias{}
-	if _, err := RunSparse(RunSpec{Config: cfg, Iterations: 10, Seed: 1, Engine: simulateOnly{EventEngine{}}}); err != nil {
-		t.Fatalf("unbiased Simulate-only run rejected: %v", err)
 	}
 }
 

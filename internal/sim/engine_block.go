@@ -47,26 +47,19 @@ import (
 // restriction. The NHPP defect process is supported through the same
 // column.
 //
-// Like the scalar engines it implements Engine and IntoSimulator for
-// one-group use; the runner's block path drives the pooled scratch
-// directly, simulating a whole block of groups per scratch acquisition,
-// with the variance-reduction hooks (antithetic pairing, stratified first
-// draw, control-variate indicator) applied per iteration.
+// Like the scalar engines it implements Engine for one-group use; the
+// runner drives the pooled scratch directly, simulating a whole unit of
+// Config.VR.EffectiveBlock() groups per scratch acquisition, with the
+// variance-reduction hooks (antithetic pairing, stratified first draw,
+// control-variate indicator) applied per iteration.
 //
 // The column prefetches uniforms, so the generator is advanced further
 // than the draws consumed; callers must not interleave other draws on the
-// same generator mid-iteration. Every runner path reseeds per iteration
+// same generator mid-iteration. The runner reseeds per iteration
 // (SeedStream), which makes the overdraw unobservable.
-type BlockEngine struct {
-	// Block is the preferred iterations-per-block for the runner's batched
-	// path (0 = the configuration's VR block size, or DefaultVRBlock).
-	Block int
-}
+type BlockEngine struct{}
 
-var (
-	_ Engine        = BlockEngine{}
-	_ IntoSimulator = BlockEngine{}
-)
+var _ Engine = BlockEngine{}
 
 const (
 	// colChunk is the uniforms fetched on the column's first bulk RNG
@@ -362,17 +355,11 @@ func (sc *blockScratch) release() {
 	sc.condKern = sc.condKern[:0]
 }
 
-// Simulate implements Engine, discarding the importance-sampling weight.
-func (e BlockEngine) Simulate(cfg Config, r *rng.RNG) ([]DDF, error) {
-	out, _, err := e.SimulateInto(cfg, r, nil)
-	return out, err
-}
-
-// SimulateInto implements IntoSimulator: one chronology from r's stream,
+// SimulateInto implements Engine: one chronology from r's stream,
 // bit-identical to IntervalEngine.SimulateInto — same DDFs, same logW. The
 // draw column prefetches, so r ends up advanced past the consumed draws;
 // reseed per iteration (as every runner does) rather than chaining draws.
-func (e BlockEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float64, error) {
+func (BlockEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return buf, 0, err
 	}

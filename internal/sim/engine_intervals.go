@@ -16,10 +16,7 @@ import (
 // statistically with EventEngine; the pair cross-validate in tests.
 type IntervalEngine struct{}
 
-var (
-	_ Engine        = IntervalEngine{}
-	_ IntoSimulator = IntervalEngine{}
-)
+var _ Engine = IntervalEngine{}
 
 // opInterval is one failure episode of a slot: the drive fails at Fail and
 // the replacement is fully restored at RestoreEnd.
@@ -57,13 +54,7 @@ type intervalScratch struct {
 
 var intervalScratchPool = sync.Pool{New: func() any { return new(intervalScratch) }}
 
-// Simulate implements Engine, discarding the importance-sampling weight.
-func (e IntervalEngine) Simulate(cfg Config, r *rng.RNG) ([]DDF, error) {
-	out, _, err := e.SimulateInto(cfg, r, nil)
-	return out, err
-}
-
-// SimulateInto implements IntoSimulator: one chronology, DDFs appended to
+// SimulateInto implements Engine: one chronology, DDFs appended to
 // buf, internal scratch pooled and reused across calls. The returned logW
 // is the iteration's importance-sampling log weight (0 when unbiased).
 func (IntervalEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float64, error) {

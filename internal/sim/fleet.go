@@ -250,6 +250,9 @@ type fleetSim struct {
 	suppressUntil []float64 // DDF suppression window end
 	suppressSlot  []int32   // global slot whose rebuild ends the window
 	degradedSince []float64 // start of the current degradation episode
+	// pendTrunc holds an ld+op DDF's concomitant defect repair while the
+	// failed slot's rebuild waits to start (slot -1: none pending).
+	pendTrunc []pendingTrunc
 
 	// Repair server.
 	heap    healHeap
@@ -274,6 +277,14 @@ type fleetSim struct {
 	evIdx    []int32
 	evSort   evIdxSort
 	visitBuf []DDF
+}
+
+// pendingTrunc is the defect truncation an ld+op DDF schedules at the
+// failed slot's restore: clear slot's (generation gen) defects that started
+// at or before at.
+type pendingTrunc struct {
+	slot, gen int32
+	at        float64
 }
 
 // evIdxSort orders the event-index permutation by (group, original
@@ -404,8 +415,13 @@ func (s *fleetSim) startRebuild(slot int, t float64) {
 	if s.suppressSlot[g] == int32(slot) && math.IsInf(s.suppressUntil[g], 1) {
 		// This rebuild ends a DDF suppression window that was left open
 		// because the rebuild had not started yet (the fleet analogue of a
-		// topology-paused rebuild resuming).
+		// topology-paused rebuild resuming). An ld+op loss's defective
+		// drive is repaired together with it, at the now-known restore.
 		s.suppressUntil[g] = sl.restoreEnd
+		if p := s.pendTrunc[g]; p.slot >= 0 {
+			s.pushEv(sl.restoreEnd, evTruncateDefects, p.slot, p.gen, 0, p.at)
+			s.pendTrunc[g].slot = -1
+		}
 	}
 }
 
@@ -480,15 +496,18 @@ func (s *fleetSim) resize(groups, drives int) {
 		s.suppressUntil = make([]float64, groups)
 		s.suppressSlot = make([]int32, groups)
 		s.degradedSince = make([]float64, groups)
+		s.pendTrunc = make([]pendingTrunc, groups)
 	}
 	s.failedCount = s.failedCount[:groups]
 	s.queuedCount = s.queuedCount[:groups]
 	s.suppressUntil = s.suppressUntil[:groups]
 	s.suppressSlot = s.suppressSlot[:groups]
 	s.degradedSince = s.degradedSince[:groups]
+	s.pendTrunc = s.pendTrunc[:groups]
 	for g := 0; g < groups; g++ {
 		s.failedCount[g], s.queuedCount[g] = 0, 0
 		s.suppressUntil[g], s.suppressSlot[g], s.degradedSince[g] = 0, -1, 0
+		s.pendTrunc[g].slot = -1
 	}
 	s.q.reset()
 	s.heap.reset()
@@ -649,10 +668,15 @@ func (s *fleetSim) run(seed, baseStream uint64) {
 					s.suppressSlot[grp] = ev.slot
 					// The defective drive is repaired together with the
 					// failed one. If this rebuild is still waiting for a
-					// spare or repair slot, restoreEnd is +Inf and the push
-					// is discarded: the defect waits for its natural scrub,
-					// exactly like the event engine's component-paused case.
-					s.pushEv(sl.restoreEnd, evTruncateDefects, int32(defectSlot), s.slots[defectSlot].gen, 0, ev.time)
+					// spare or repair slot, restoreEnd is +Inf: the repair
+					// is held until startRebuild knows the restore time, with
+					// the defective slot's generation taken now.
+					trunc := pendingTrunc{slot: int32(defectSlot), gen: s.slots[defectSlot].gen, at: ev.time}
+					if math.IsInf(sl.restoreEnd, 1) {
+						s.pendTrunc[grp] = trunc
+					} else {
+						s.pushEv(sl.restoreEnd, evTruncateDefects, trunc.slot, trunc.gen, 0, trunc.at)
+					}
 				}
 			}
 

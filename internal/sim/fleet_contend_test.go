@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"raidrel/internal/dist"
@@ -236,7 +237,7 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 			},
 		}
 	}
-	engineDDFs, err := (EventEngine{}).Simulate(script(), rng.New(1))
+	engineDDFs, err := simulate(EventEngine{}, script(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 			},
 		}
 	}
-	engineDDFs, err = (EventEngine{}).Simulate(live(), rng.New(1))
+	engineDDFs, err = simulate(EventEngine{}, live(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +299,44 @@ func TestFleetScriptedSuppressionSpansQueueWait(t *testing.T) {
 	}
 	if st.MaxQueueDepth != 3 {
 		t.Errorf("MaxQueueDepth = %d, want 3", st.MaxQueueDepth)
+	}
+}
+
+// An ld+op DDF whose rebuild waits for a spare still repairs the defective
+// drive together with the failed one, at the delayed restore — the event
+// engine's rule. Slot 1's defect (created at 50, scrubbed at 850) makes
+// slot 0's failure at 100 a DDF; the empty pool holds the rebuild until
+// the replacement arrives at 300, so the restore lands at 350 and clears
+// the defect with it. Slot 2's failure at 400 then finds a healthy group.
+func TestFleetScriptedSpareWaitRepairsDefect(t *testing.T) {
+	script := func() Config {
+		return Config{
+			Drives:     3,
+			Redundancy: 1,
+			Mission:    1000,
+			Trans: Transitions{
+				TTOp:    newScripted(100, 5000, 400, 5000),
+				TTR:     newScripted(50),
+				TTLd:    newScripted(2000, 50, 2000),
+				TTScrub: newScripted(800),
+			},
+		}
+	}
+	pool := &SparePolicy{Initial: 0, ReplenishHours: 200}
+	want := []DDF{{Time: 100, Cause: CauseLdOp}}
+
+	cfg := script()
+	cfg.Spares = pool
+	engineDDFs, err := simulate(EventEngine{}, cfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(engineDDFs, want) {
+		t.Errorf("event engine: %v, want %v", engineDDFs, want)
+	}
+	groups, _ := simulateFleetSeeded(t, FleetConfig{Groups: 1, Group: script(), SharedSpares: pool}, 1, 0)
+	if !reflect.DeepEqual(groups[0].DDFs, want) {
+		t.Errorf("fleet engine: %v, want %v", groups[0].DDFs, want)
 	}
 }
 

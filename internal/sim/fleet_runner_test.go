@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime/debug"
 	"testing"
@@ -106,32 +107,19 @@ func TestFleetRunOffsetComposition(t *testing.T) {
 	if first.Groups != whole.Groups || !reflect.DeepEqual(first.Events, whole.Events) {
 		t.Fatal("batched fleet run does not compose to the single run")
 	}
-	a, b := first.Fleet, whole.Fleet
-	if a.Chronologies != b.Chronologies || a.GroupsPer != b.GroupsPer ||
-		a.Failures != b.Failures || a.Rebuilds != b.Rebuilds || a.Waited != b.Waited ||
-		a.ActiveAtEnd != b.ActiveAtEnd || a.QueuedAtEnd != b.QueuedAtEnd ||
-		a.MaxQueueDepth != b.MaxQueueDepth ||
-		a.MaxWaitHours != b.MaxWaitHours || a.MaxExposureHours != b.MaxExposureHours {
-		t.Fatalf("merged fleet tally %+v != single-run %+v", a, b)
-	}
+	a, b := *first.Fleet, *whole.Fleet
 	// The wait-hour and depth sums fold per-chronology values in a
-	// different association when batched, so they match to rounding only.
-	if relDiff(a.TotalWaitHours, b.TotalWaitHours) > 1e-12 || relDiff(a.MeanDepthSum, b.MeanDepthSum) > 1e-12 {
+	// different association when batched, so they match to rounding only;
+	// every other field is exact.
+	if math.Abs(a.TotalWaitHours-b.TotalWaitHours) > 1e-12*math.Max(1, b.TotalWaitHours) ||
+		math.Abs(a.MeanDepthSum-b.MeanDepthSum) > 1e-12*math.Max(1, b.MeanDepthSum) {
 		t.Fatalf("merged fleet sums %v/%v != single-run %v/%v",
 			a.TotalWaitHours, a.MeanDepthSum, b.TotalWaitHours, b.MeanDepthSum)
 	}
-}
-
-func relDiff(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
+	a.TotalWaitHours, a.MeanDepthSum = b.TotalWaitHours, b.MeanDepthSum
+	if a != b {
+		t.Fatalf("merged fleet tally %+v != single-run %+v", a, b)
 	}
-	m := 1.0
-	if b > m {
-		m = b
-	}
-	return d / m
 }
 
 func TestFleetRunValidation(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 // resolves to (DefaultEngine):
 //
 //	feature              event  interval  block  nil
-//	bias (IntoSimulator)   ✓       ✓        ✓    block
 //	finite spares          ✓       –        –    event
 //	coupled topology       ✓       –        –    event
 //	variance reduction     –       –        ✓    block
@@ -119,13 +118,6 @@ func EngineSupports(engine Engine, cfg Config) error {
 	if cfg.VR.Enabled() {
 		if _, ok := engine.(BlockEngine); !ok {
 			return errVRNeedsBlock()
-		}
-	}
-	if cfg.Bias.Enabled() {
-		if _, ok := engine.(IntoSimulator); !ok {
-			// Engine.Simulate has no channel for the likelihood-ratio
-			// weight; silently running it biased would corrupt the estimate.
-			return fmt.Errorf("sim: importance sampling requires an engine implementing IntoSimulator (weights would be lost)")
 		}
 	}
 	return nil

@@ -83,16 +83,12 @@ func TestEngineFeatureMatrix(t *testing.T) {
 			if f.name == "vr" {
 				continue
 			}
-			var into IntoSimulator
 			switch e.e.(type) {
-			case IntervalEngine:
-				into = IntervalEngine{}
-			case BlockEngine:
-				into = BlockEngine{}
+			case IntervalEngine, BlockEngine:
 			default:
 				continue
 			}
-			_, _, err := into.SimulateInto(cfg, rng.New(7), nil)
+			_, _, err := e.e.SimulateInto(cfg, rng.New(7), nil)
 			if wantSub == "" {
 				if err != nil {
 					t.Errorf("%s × %s: SimulateInto rejected expressible combination: %v", f.name, e.name, err)

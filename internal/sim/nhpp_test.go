@@ -42,7 +42,7 @@ func TestNHPPConstantRateMatchesHomogeneous(t *testing.T) {
 	count := func(cfg Config, seed uint64) int {
 		total := 0
 		for i := 0; i < 3000; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestNHPPDutyCycleBracketing(t *testing.T) {
 	count := func(cfg Config, seed uint64) int {
 		total := 0
 		for i := 0; i < 2000; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestNHPPEnginesAgree(t *testing.T) {
 		cfg := mkcfg()
 		total := 0
 		for i := 0; i < 3000; i++ {
-			ddfs, err := e.Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(e, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestNHPPRateClamping(t *testing.T) {
 	count := func(c Config) int {
 		total := 0
 		for i := 0; i < 500; i++ {
-			ddfs, err := (EventEngine{}).Simulate(c, rng.ForStream(730, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, c, rng.ForStream(730, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}

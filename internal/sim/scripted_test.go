@@ -61,7 +61,7 @@ func TestScriptedLdOpDDF(t *testing.T) {
 			TTScrub: newScripted(200, 200, 200),
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestScriptedScrubBeatsFailure(t *testing.T) {
 			TTScrub: newScripted(30, 200, 200), // corrected at 90, failure at 100
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestScriptedDefectAfterFailureNoDDF(t *testing.T) {
 			TTScrub: newScripted(200, 200, 200),
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestScriptedOpOpDDF(t *testing.T) {
 			TTR:  newScripted(50, 50),
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestScriptedSuppression(t *testing.T) {
 			TTR:  newScripted(100, 100, 100),
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestScriptedOwnDefectNotDDF(t *testing.T) {
 			TTScrub: newScripted(200, 200, 200),
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestScriptedConcomitantRepairClearsDefect(t *testing.T) {
 			TTScrub: newScripted(500, 500, 500),
 		},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

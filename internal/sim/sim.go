@@ -14,9 +14,22 @@
 //   - a DDF involving a defective drive clears that defect at the same
 //     restore time as the concomitant operational failure.
 //
-// Two independent engines implement the same semantics — an event-queue
-// engine and a per-slot interval engine patterned on the paper's Fig. 5
-// timing diagram — and cross-validate each other in tests.
+// Four engines implement these semantics:
+//
+//   - EventEngine, the discrete-event reference: the only single-group
+//     engine that models finite spare pools and coupled component
+//     topologies, and the one SimulateTraced streams Fig.-5 timing
+//     diagrams from;
+//   - IntervalEngine, a per-slot interval sweep patterned on the paper's
+//     Fig. 5 timing diagram — the scalar oracle the block engine must
+//     match bit for bit;
+//   - BlockEngine, the batched structure-of-arrays form of the interval
+//     sweep: the default wherever it can run a configuration, and the only
+//     engine implementing variance reduction (VR);
+//   - the fleet engine (SimulateFleetInto, RunSpec.Fleet), which couples
+//     many groups through a shared spare pool and a bounded repair server.
+//
+// RunCollect drives any of them through one ordered dispatch loop.
 package sim
 
 import (
@@ -210,28 +223,16 @@ func (c Config) ttopFor(slot int) dist.Distribution {
 	return c.Trans.TTOp
 }
 
-// Engine simulates one RAID-group chronology and returns its DDF events.
-//
-// Simulate discards the iteration's importance-sampling weight; runs with
-// cfg.Bias enabled must go through IntoSimulator (the runner enforces
-// this) so the weight reaches the estimator.
-type Engine interface {
-	// Simulate runs one iteration of the group chronology using r and
-	// returns the DDFs in chronological order.
-	Simulate(cfg Config, r *rng.RNG) ([]DDF, error)
-}
-
-// IntoSimulator is the allocation-free fast path of an Engine: it appends
-// the chronology's DDFs to buf (which may be nil) and returns the extended
-// slice, reusing internal scratch between calls. In the paper's rare-event
-// regime almost every iteration returns len(buf) unchanged, so a runner
-// that reuses one buffer per worker simulates in a zero-allocation steady
-// state. Engines that implement it must produce bit-identical results to
-// their Simulate method.
+// Engine simulates one RAID-group chronology. SimulateInto appends the
+// chronology's DDFs, in chronological order, to buf (which may be nil) and
+// returns the extended slice, reusing internal scratch between calls. In
+// the paper's rare-event regime almost every iteration returns len(buf)
+// unchanged, so a runner that reuses one buffer per worker simulates in a
+// zero-allocation steady state.
 //
 // logW is the iteration's importance-sampling log likelihood-ratio weight,
 // the sum of ln(f/g) over every variate drawn from a tilted distribution;
 // exactly 0 when cfg.Bias is disabled.
-type IntoSimulator interface {
+type Engine interface {
 	SimulateInto(cfg Config, r *rng.RNG, buf []DDF) (out []DDF, logW float64, err error)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"raidrel/internal/dist"
@@ -21,6 +22,12 @@ func fastConfig() Config {
 			TTR:  dist.MustExponential(1e-2), // MTTR 100 h
 		},
 	}
+}
+
+// simulate runs one chronology on a fresh buffer, dropping the log weight.
+func simulate(e Engine, cfg Config, r *rng.RNG) ([]DDF, error) {
+	ddfs, _, err := e.SimulateInto(cfg, r, nil)
+	return ddfs, err
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -81,7 +88,7 @@ func TestEventEngineMatchesMarkovAbsorption(t *testing.T) {
 	const iters = 6000
 	firstDDF := 0
 	for i := 0; i < iters; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(7, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(7, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +142,7 @@ func TestLatentChainMatchesMarkovAbsorption(t *testing.T) {
 	const iters = 8000
 	hit := 0
 	for i := 0; i < iters; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(314, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(314, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +186,7 @@ func TestRedundancy2MatchesDoubleParityChain(t *testing.T) {
 	const iters = 6000
 	hit := 0
 	for i := 0; i < iters; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(777, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(777, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +213,7 @@ func TestEnginesCrossValidate(t *testing.T) {
 	const iters = 4000
 	count := func(e Engine, seed uint64) (total, opop, ldop int) {
 		for i := 0; i < iters; i++ {
-			ddfs, err := e.Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(e, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +250,7 @@ func TestEnginesCrossValidate(t *testing.T) {
 // Without latent defects every DDF must be OpOp.
 func TestNoLatentMeansNoLdOp(t *testing.T) {
 	cfg := fastConfig()
-	res, err := Run(RunSpec{Config: cfg, Iterations: 3000, Seed: 3})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 3000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +271,7 @@ func TestNoLatentMeansNoLdOp(t *testing.T) {
 func TestUnscrubbedDefectsDominate(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(1e-3) // defect every 1,000 h per drive
-	res, err := Run(RunSpec{Config: cfg, Iterations: 1500, Seed: 4})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 1500, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +299,7 @@ func TestScrubMonotonicity(t *testing.T) {
 	} {
 		cfg := base
 		cfg.Trans.TTScrub = scrub
-		res, err := Run(RunSpec{Config: cfg, Iterations: 1200, Seed: 5})
+		res, err := RunSparse(RunSpec{Config: cfg, Iterations: 1200, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +316,7 @@ func TestScrubMonotonicity(t *testing.T) {
 func TestLdAfterOpIsNotDDF(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(1e-9) // ~0.0007 defects per mission
-	res, err := Run(RunSpec{Config: cfg, Iterations: 2000, Seed: 6})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 2000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +334,11 @@ func TestRaid6Extension(t *testing.T) {
 	cfg6 := cfg5
 	cfg6.Redundancy = 2
 
-	res5, err := Run(RunSpec{Config: cfg5, Iterations: 2000, Seed: 7})
+	res5, err := RunSparse(RunSpec{Config: cfg5, Iterations: 2000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res6, err := Run(RunSpec{Config: cfg6, Iterations: 2000, Seed: 7})
+	res6, err := RunSparse(RunSpec{Config: cfg6, Iterations: 2000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +360,19 @@ func TestDDFSuppressionSpacing(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTR = dist.MustWeibull(2, 12, 6) // minimum restore 6 h
 	cfg.Trans.TTLd = dist.MustExponential(2e-3)
-	res, err := Run(RunSpec{Config: cfg, Iterations: 800, Seed: 8})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 800, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := 0
-	for _, g := range res.PerGroup {
-		for i := 1; i < len(g); i++ {
-			pairs++
-			if g[i].Time-g[i-1].Time < 6 {
-				t.Fatalf("DDFs %v apart; restore floor is 6 h", g[i].Time-g[i-1].Time)
-			}
+	for i := 1; i < len(res.Events); i++ {
+		prev, e := res.Events[i-1], res.Events[i]
+		if e.Group != prev.Group {
+			continue
+		}
+		pairs++
+		if e.Time-prev.Time < 6 {
+			t.Fatalf("DDFs %v apart; restore floor is 6 h", e.Time-prev.Time)
 		}
 	}
 	if pairs == 0 {
@@ -376,8 +385,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg.Trans.TTLd = dist.MustExponential(5e-4)
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 48, 6)
 	cfg.Mission = 20000
-	run := func(workers int) *RunResult {
-		res, err := Run(RunSpec{Config: cfg, Iterations: 500, Seed: 9, Workers: workers})
+	run := func(workers int) *SparseResult {
+		res, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 9, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,42 +397,17 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("worker count changed results: %d/%d vs %d/%d",
 			a.TotalDDFs, a.LdOpDDFs, b.TotalDDFs, b.LdOpDDFs)
 	}
-	for i := range a.PerGroup {
-		if len(a.PerGroup[i]) != len(b.PerGroup[i]) {
-			t.Fatalf("group %d differs across worker counts", i)
-		}
-		for j := range a.PerGroup[i] {
-			if a.PerGroup[i][j] != b.PerGroup[i][j] {
-				t.Fatalf("group %d event %d differs", i, j)
-			}
-		}
+	if !reflect.DeepEqual(a.Events, b.Events) {
+		t.Fatal("events differ across worker counts")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunSpec{Config: Config{}, Iterations: 1}); err == nil {
+	if _, err := RunSparse(RunSpec{Config: Config{}, Iterations: 1}); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := Run(RunSpec{Config: fastConfig(), Iterations: 0}); err == nil {
+	if _, err := RunSparse(RunSpec{Config: fastConfig(), Iterations: 0}); err == nil {
 		t.Error("zero iterations accepted")
-	}
-}
-
-func TestRunResultHelpers(t *testing.T) {
-	res := &RunResult{PerGroup: [][]DDF{
-		{{Time: 10, Cause: CauseOpOp}, {Time: 50, Cause: CauseLdOp}},
-		{},
-		{{Time: 30, Cause: CauseLdOp}},
-	}}
-	ev := res.EventTimes()
-	if len(ev) != 3 || len(ev[0]) != 2 || ev[0][1] != 50 || len(ev[1]) != 0 {
-		t.Errorf("EventTimes = %v", ev)
-	}
-	if res.DDFsBefore(30) != 2 {
-		t.Errorf("DDFsBefore(30) = %d", res.DDFsBefore(30))
-	}
-	if res.DDFsBefore(5) != 0 || res.DDFsBefore(100) != 3 {
-		t.Error("DDFsBefore edges wrong")
 	}
 }
 
@@ -434,7 +418,7 @@ func TestChronologyInvariants(t *testing.T) {
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
 	for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
 		for i := 0; i < 500; i++ {
-			ddfs, err := engine.Simulate(cfg, rng.ForStream(10, uint64(i)))
+			ddfs, err := simulate(engine, cfg, rng.ForStream(10, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,7 +451,7 @@ func TestQuiescentGroupHasNoDDFs(t *testing.T) {
 			TTR:  dist.MustExponential(1),
 		},
 	}
-	res, err := Run(RunSpec{Config: cfg, Iterations: 500, Seed: 11})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,11 @@ func TestAmpleSparesMatchBaseline(t *testing.T) {
 	withPool := base
 	withPool.Spares = &SparePolicy{Initial: 10000, ReplenishHours: 1e6}
 	for i := 0; i < 500; i++ {
-		a, err := (EventEngine{}).Simulate(base, rng.ForStream(500, uint64(i)))
+		a, err := simulate(EventEngine{}, base, rng.ForStream(500, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := (EventEngine{}).Simulate(withPool, rng.ForStream(500, uint64(i)))
+		b, err := simulate(EventEngine{}, withPool, rng.ForStream(500, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestSpareStarvationIncreasesDDFs(t *testing.T) {
 		cfg.Spares = policy
 		total := 0
 		for i := 0; i < 3000; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(501, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(501, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestInstantReplenishEquivalent(t *testing.T) {
 	cfg.Spares = &SparePolicy{Initial: 0, ReplenishHours: 0}
 	total := 0
 	for i := 0; i < 2000; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(502, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(502, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestInstantReplenishEquivalent(t *testing.T) {
 	base := 0
 	cfg.Spares = nil
 	for i := 0; i < 2000; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(502, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(502, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestInstantReplenishEquivalent(t *testing.T) {
 func TestIntervalEngineRejectsSpares(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Spares = &SparePolicy{Initial: 1, ReplenishHours: 10}
-	if _, err := (IntervalEngine{}).Simulate(cfg, rng.New(1)); err == nil {
+	if _, err := simulate(IntervalEngine{}, cfg, rng.New(1)); err == nil {
 		t.Error("interval engine accepted a finite spare pool")
 	}
 	// But the runner with the default (event) engine accepts it.
-	if _, err := Run(RunSpec{Config: cfg, Iterations: 50, Seed: 1}); err != nil {
+	if _, err := RunSparse(RunSpec{Config: cfg, Iterations: 50, Seed: 1}); err != nil {
 		t.Errorf("event-engine run rejected spares: %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestSpareChronologyInvariants(t *testing.T) {
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
 	cfg.Spares = &SparePolicy{Initial: 1, ReplenishHours: 300}
 	for i := 0; i < 400; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(503, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(503, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

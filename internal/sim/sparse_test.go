@@ -11,13 +11,13 @@ import (
 // TestRunSparseMatchesSerialSimulate pins the whole streaming pipeline —
 // SimulateInto fast path, per-worker scratch reuse, and the in-order
 // channel merge — against the simplest possible reference: a serial loop
-// calling Engine.Simulate with a fresh RNG per stream.
+// calling SimulateInto with a fresh RNG per stream.
 func TestRunSparseMatchesSerialSimulate(t *testing.T) {
 	cfg := fastConfig()
 	const n = 300
 	want := &SparseResult{}
 	for i := 0; i < n; i++ {
-		ddfs, err := EventEngine{}.Simulate(cfg, rng.ForStream(99, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(99, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,11 +40,11 @@ func TestRunSparseMatchesSerialSimulate(t *testing.T) {
 	}
 }
 
-// TestRunSparseWorkerCountInvariance mirrors the dense invariance test on
-// the sparse path: the event index must be bit-identical for any worker
-// count.
+// TestRunSparseWorkerCountInvariance is the worker-count invariance test
+// on the event engine: the event index must be bit-identical for any
+// worker count.
 func TestRunSparseWorkerCountInvariance(t *testing.T) {
-	base := RunSpec{Config: paperBaseConfig(), Iterations: 400, Seed: 20070625}
+	base := RunSpec{Config: paperBaseConfig(), Iterations: 400, Seed: 20070625, Engine: EventEngine{}}
 	one := base
 	one.Workers = 1
 	seven := base
@@ -90,34 +90,6 @@ func TestRunCollectObservesInOrder(t *testing.T) {
 	}
 	if next != n {
 		t.Fatalf("observed %d iterations, want %d", next, n)
-	}
-}
-
-// TestSparseDenseMatchesPerStream: Dense() reconstructs exactly the
-// per-group slices a store-everything run would hold, with nil (not
-// empty) entries for event-free groups.
-func TestSparseDenseMatchesPerStream(t *testing.T) {
-	cfg := fastConfig()
-	const n = 200
-	sparse, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 3, Engine: EventEngine{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := sparse.Dense()
-	if len(dense.PerGroup) != n {
-		t.Fatalf("dense has %d groups, want %d", len(dense.PerGroup), n)
-	}
-	for i := 0; i < n; i++ {
-		want, err := EventEngine{}.Simulate(cfg, rng.ForStream(3, uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dense.PerGroup[i], want) {
-			t.Fatalf("group %d: dense %v != engine %v", i, dense.PerGroup[i], want)
-		}
-	}
-	if dense.TotalDDFs != sparse.TotalDDFs {
-		t.Fatal("dense tally differs")
 	}
 }
 
@@ -190,14 +162,6 @@ func TestSparseResultHelpers(t *testing.T) {
 	restored.Tally()
 	if restored.TotalDDFs != 3 || restored.OpOpDDFs != 1 || restored.LdOpDDFs != 2 {
 		t.Error("Tally from events wrong")
-	}
-
-	dense := r.Dense()
-	if len(dense.PerGroup) != 5 || dense.PerGroup[0] != nil || dense.PerGroup[2] != nil || dense.PerGroup[4] != nil {
-		t.Error("Dense materialized empty groups as non-nil")
-	}
-	if !reflect.DeepEqual(dense.PerGroup[1], []DDF{{Time: 50, Cause: CauseOpOp}, {Time: 60, Cause: CauseLdOp}}) {
-		t.Error("Dense group 1 wrong")
 	}
 }
 

@@ -111,7 +111,7 @@ func TestFlatTopologyBitIdentical(t *testing.T) {
 
 	engines := []struct {
 		name string
-		e    IntoSimulator
+		e    Engine
 	}{
 		{"event", EventEngine{}},
 		{"interval", IntervalEngine{}},
@@ -210,7 +210,7 @@ func TestScriptedDataLossDuringOutage(t *testing.T) {
 			TTR:    newScripted(80),
 		}}},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +412,6 @@ func TestSparseResultSeparatesUnavailFromLoss(t *testing.T) {
 	r.Tally()
 	if r.UnavailEvents != 3 || r.TotalDDFs != 1 {
 		t.Errorf("after tally: unavail=%d total=%d", r.UnavailEvents, r.TotalDDFs)
-	}
-	d := r.Dense()
-	if d.UnavailEvents != 3 || d.TotalDDFs != 1 {
-		t.Errorf("dense: unavail=%d total=%d", d.UnavailEvents, d.TotalDDFs)
 	}
 }
 

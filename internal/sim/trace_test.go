@@ -35,7 +35,7 @@ func TestTraceKindStrings(t *testing.T) {
 func TestTracingIsPassive(t *testing.T) {
 	cfg := tracedConfig()
 	for i := 0; i < 200; i++ {
-		plain, err := (EventEngine{}).Simulate(cfg, rng.ForStream(400, uint64(i)))
+		plain, err := simulate(EventEngine{}, cfg, rng.ForStream(400, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,9 +36,10 @@ package sim
 
 import "fmt"
 
-// DefaultVRBlock is the block size used when VR is enabled without an
-// explicit BlockSize: large enough for stable within-block stratification,
-// small enough that a campaign accumulates many iid block means quickly.
+// DefaultVRBlock is the block size used without an explicit BlockSize —
+// the VR block and the runner's unit of dispatch for every non-fleet run:
+// large enough for stable within-block stratification, small enough that a
+// campaign accumulates many iid block means quickly.
 const DefaultVRBlock = 256
 
 // VR configures variance reduction for block-engine runs. The zero value

@@ -21,10 +21,11 @@ BASE_REF="${1:-origin/main}"
 COUNT="${BENCH_COUNT:-10}"
 BENCHTIME="${BENCH_TIME:-0.5s}"
 MAX_PCT="${MAX_REGRESSION_PCT:-10}"
-# The pinned set: small, stable benchmarks that cover the per-draw kernels
-# and the end-to-end engine iteration. Sub-benchmarks of the listed names
-# are included.
-PIN='^(BenchmarkKernelWeibull|BenchmarkKernelTilted|BenchmarkKernelFill|BenchmarkEngineTimelineInto|BenchmarkEngineTimelineFlatTopoInto|BenchmarkEngineTimelineBiasedInto|BenchmarkEngineSequentialInto|BenchmarkEngineSequentialBiasedInto|BenchmarkEngineBlockInto|BenchmarkEngineBlockBiasedInto|BenchmarkEngineBlockVRInto|BenchmarkFleetInto)$'
+# The pinned set: small, stable benchmarks that cover the per-draw kernels,
+# the end-to-end engine iteration, and the runner's dispatch loop
+# (BenchmarkRunSparse/default and /engine=event). Sub-benchmarks of the
+# listed names are included.
+PIN='^(BenchmarkKernelWeibull|BenchmarkKernelTilted|BenchmarkKernelFill|BenchmarkEngineTimelineInto|BenchmarkEngineTimelineFlatTopoInto|BenchmarkEngineTimelineBiasedInto|BenchmarkEngineSequentialInto|BenchmarkEngineSequentialBiasedInto|BenchmarkEngineBlockInto|BenchmarkEngineBlockBiasedInto|BenchmarkEngineBlockVRInto|BenchmarkFleetInto|BenchmarkRunSparse)$'
 # The batched engine must hold its headline speedup over the scalar
 # interval engine (BENCH_sim.json): block median <= sequential/MIN_SPEEDUP.
 MIN_SPEEDUP="${MIN_BLOCK_SPEEDUP:-1.5}"
