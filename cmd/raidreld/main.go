@@ -44,6 +44,28 @@ import (
 	"raidrel/internal/service"
 )
 
+// Server timeouts bound what a slow or stalled client can hold open: the
+// request headers, the whole request (bodies are capped at 1 MiB by the
+// service, so a healthy client sends one in far less), and an idle
+// keep-alive connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server with its timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		// No WriteTimeout: an SSE progress stream stays open as long as
+		// its campaign runs, which no fixed write deadline can bound.
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -79,7 +101,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newHTTPServer(svc.Handler())
 	fmt.Fprintf(out, "raidreld: listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)

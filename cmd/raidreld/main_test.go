@@ -252,3 +252,18 @@ func getDoc(t *testing.T, url string, v any) {
 		t.Fatal(err)
 	}
 }
+
+// TestServerTimeouts pins the daemon's slow-client bounds: header, request
+// and idle timeouts are set, and no write timeout cuts off SSE streams.
+func TestServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("timeouts header=%v read=%v idle=%v, want all positive", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("header timeout %v exceeds the whole-request timeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v; SSE streams must not be cut off", srv.WriteTimeout)
+	}
+}

@@ -87,67 +87,75 @@ func TestCrossValidationBiasedVsUnbiased(t *testing.T) {
 	}
 }
 
-// A biased campaign killed partway and resumed must match the
-// uninterrupted run bit for bit — the weights round-trip the checkpoint.
+// TestKillResumeBiasedCampaign kills importance-sampled campaigns partway
+// and resumes them from the checkpoint: the resumed run rebuilds its
+// incremental summary from the restored events in one step, extends it
+// batch by batch, and must end bit-identical to the uninterrupted run —
+// events, log weights, interval, ESS and group counts. The topology case
+// interleaves unavailability onsets with the weighted loss events.
 func TestKillResumeBiasedCampaign(t *testing.T) {
 	cfg := rareConfig()
 	cfg.Bias.Op = 8
-	spec := Spec{
-		Config:       cfg,
-		Seed:         42,
-		BatchSize:    2000,
-		TargetRelErr: 0.15,
-	}
-
-	want, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Reason != StopTarget {
-		t.Fatalf("reference campaign stopped for %v, want target", want.Reason)
-	}
-
-	path := filepath.Join(t.TempDir(), "c.json")
-	ctx, cancel := context.WithCancel(context.Background())
-	killed := spec
-	killed.Checkpoint = path
-	batches := 0
-	killed.Progress = ProgressFunc(func(s Snapshot) {
-		if !s.Done {
-			batches++
-			if batches == 2 {
-				cancel()
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"rare", Spec{Config: cfg, Seed: 42, BatchSize: 2000, TargetRelErr: 0.15}},
+		{"topology", Spec{Config: biasedTopologyConfig(), Seed: 17, BatchSize: 200, MaxIterations: 1600}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := c.spec
+			want, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	part, err := Run(ctx, killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.Reason != StopCancelled {
-		t.Fatalf("killed campaign stopped for %v, want cancelled", part.Reason)
-	}
-	if part.Iterations >= want.Iterations {
-		t.Fatalf("kill point %d not partway through reference %d; test is vacuous",
-			part.Iterations, want.Iterations)
-	}
+			wantReason := StopTarget
+			if spec.TargetRelErr == 0 {
+				wantReason = StopMaxIterations
+			}
+			if want.Reason != wantReason {
+				t.Fatalf("reference campaign stopped for %v, want %v", want.Reason, wantReason)
+			}
 
-	resumed := spec
-	resumed.Resume = path
-	got, err := Run(context.Background(), resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Reason != want.Reason || got.Iterations != want.Iterations {
-		t.Fatalf("resumed campaign (%v after %d) differs from uninterrupted (%v after %d)",
-			got.Reason, got.Iterations, want.Reason, want.Iterations)
-	}
-	if got.CI != want.CI || got.ESS != want.ESS {
-		t.Errorf("weighted statistics differ: resumed CI %+v ess %v vs uninterrupted %+v ess %v",
-			got.CI, got.ESS, want.CI, want.ESS)
-	}
-	if got.Run.Groups != want.Run.Groups || !reflect.DeepEqual(got.Run.Events, want.Run.Events) {
-		t.Error("events (incl. log weights) differ bit-for-bit after resume")
+			path := filepath.Join(t.TempDir(), "c.json")
+			ctx, cancel := context.WithCancel(context.Background())
+			killed := spec
+			killed.Checkpoint = path
+			batches := 0
+			killed.Progress = ProgressFunc(func(s Snapshot) {
+				if !s.Done {
+					if batches++; batches == 2 {
+						cancel()
+					}
+				}
+			})
+			part, err := Run(ctx, killed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part.Reason != StopCancelled {
+				t.Fatalf("killed campaign stopped for %v, want cancelled", part.Reason)
+			}
+			if part.Iterations >= want.Iterations {
+				t.Fatalf("kill point %d not partway through reference %d; test is vacuous",
+					part.Iterations, want.Iterations)
+			}
+
+			resumed := spec
+			resumed.Resume = path
+			got, err := Run(context.Background(), resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Reason != want.Reason || got.Iterations != want.Iterations {
+				t.Fatalf("resumed campaign (%v after %d) differs from uninterrupted (%v after %d)",
+					got.Reason, got.Iterations, want.Reason, want.Iterations)
+			}
+			sameStats(t, "resumed", got, want)
+			if got.Run.Groups != want.Run.Groups || !reflect.DeepEqual(got.Run.Events, want.Run.Events) {
+				t.Error("events (incl. log weights) differ bit-for-bit after resume")
+			}
+		})
 	}
 }
 

@@ -340,11 +340,20 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		defer ckpt.close()
 	}
 
+	sum := newSummary(spec)
+	sum.extend(run)
 	start := spec.now()
+	// res is the view the stopping rules judge: assembled once per batch,
+	// right after the batch merges, and reused at the top of the loop with
+	// only its wall clock refreshed.
+	res := assemble(spec, sum, run, batches, resumedFrom, 0)
+	// br collects one batch at a time; reusing it keeps its event capacity
+	// from batch to batch.
+	br := &sim.SparseResult{}
 	for {
 		done := run.Groups
 		elapsed := spec.now().Sub(start)
-		res := assemble(spec, run, done, batches, resumedFrom, elapsed)
+		res.Elapsed = elapsed
 
 		switch {
 		case ctx.Err() != nil:
@@ -370,7 +379,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		if spec.MaxIterations > 0 && done+batch > spec.MaxIterations {
 			batch = spec.MaxIterations - done
 		}
-		br, err := sim.RunSparse(sim.RunSpec{
+		br.Reset()
+		err := sim.RunCollect(sim.RunSpec{
 			Config:     spec.Config,
 			Iterations: batch,
 			Seed:       spec.Seed,
@@ -378,19 +388,21 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			Engine:     spec.Engine,
 			Offset:     spec.Offset + done,
 			Fleet:      spec.Fleet,
-		})
+		}, br)
 		if err != nil {
 			return nil, err
 		}
 		run.Merge(br)
 		batches++
+		sum.extend(run)
 
 		if ckpt != nil {
 			if err := ckpt.save(run, batches); err != nil {
 				return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 			}
 		}
-		report(spec, assemble(spec, run, run.Groups, batches, resumedFrom, spec.now().Sub(start)), start, false)
+		res = assemble(spec, sum, run, batches, resumedFrom, spec.now().Sub(start))
+		report(spec, res, start, false)
 	}
 }
 
@@ -400,14 +412,20 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 // results combined through sim.SparseResult.Merge are handed here with the
 // unsharded spec, yielding the same statistics an unsharded campaign of
 // run.Groups iterations would have produced. Reason is left as StopNone;
-// the run did not pass through a stopping rule.
+// the run did not pass through a stopping rule. It folds the whole run
+// into a fresh summary in one step — the same code Run extends batch by
+// batch.
 func Summarize(spec Spec, run *sim.SparseResult) *Result {
 	spec = spec.withDefaults()
-	return assemble(spec, run, run.Groups, 0, 0, 0)
+	sum := newSummary(spec)
+	sum.extend(run)
+	return assemble(spec, sum, run, 0, 0, 0)
 }
 
-// assemble builds the Result view of the current state.
-func assemble(spec Spec, run *sim.SparseResult, done, batches, resumedFrom int, elapsed time.Duration) *Result {
+// assemble builds the Result view of the current state from the summary
+// of run's events.
+func assemble(spec Spec, sum *summary, run *sim.SparseResult, batches, resumedFrom int, elapsed time.Duration) *Result {
+	done := run.Groups
 	res := &Result{
 		Run:         run,
 		Iterations:  done,
@@ -419,14 +437,12 @@ func assemble(spec Spec, run *sim.SparseResult, done, batches, resumedFrom int, 
 	res.RelErr = math.Inf(1)
 	res.Fleet = run.Fleet
 	if done > 0 {
-		res.GroupsWithDDF = run.GroupsWithDDF()
-		res.GroupsWithUnavail = run.GroupsWithUnavail()
-		var ws []float64
+		res.GroupsWithDDF = sum.ddfGroups
+		res.GroupsWithUnavail = sum.unavailGroups
 		if spec.Config.Bias.Enabled() {
 			// ESS stays the weight-degeneracy diagnostic of any
 			// importance-sampled campaign, whichever interval stops it.
-			ws = run.GroupWeights()
-			res.ESS = stats.ESS(ws)
+			res.ESS = sum.ess()
 		}
 		switch {
 		case spec.Config.VR.Enabled() && run.VR != nil && len(run.VR.Blocks) >= 2:
@@ -439,10 +455,10 @@ func assemble(spec Spec, run *sim.SparseResult, done, batches, resumedFrom int, 
 			// likelihood-ratio weights of event groups (implied zeros
 			// elsewhere), not 0/1 indicators, so Wilson does not apply.
 			// Stop on the weighted-normal interval instead.
-			ci, err := stats.WeightedBernoulliCI(ws, done, spec.Confidence)
+			ci, err := sum.weightedCI(done, spec.Confidence)
 			if err == nil {
 				res.CI = ci
-				if len(ws) > 0 {
+				if res.GroupsWithDDF > 0 {
 					res.RelErr = ci.RelativeHalfWidth()
 				}
 			}

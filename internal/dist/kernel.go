@@ -218,6 +218,23 @@ func CompareHazard(e, h float64) int {
 	}
 }
 
+// CensorCut returns the uniform-domain image of CompareHazard's certain
+// "above" verdict under a θ hazard tilt: every u in (0, cut) gives
+// CompareHazard(-log(u)/θ, h) > 0, so a caller holding the raw uniform can
+// rule a draw censored without taking its log. The cut sits a relative
+// 1e-9 plus an absolute 1e-12 (in the exponential domain) inside the band
+// edge θ·(h·(1+rel)+abs): the relative term absorbs the few-ulp rounding
+// of that edge and of e/θ, the absolute term the ≤1-ulp errors of exp and
+// log, which are absolute in the exponential domain and would otherwise
+// dominate a tiny θ·abs. Returns 0 — no uniform qualifies — above
+// hazardHuge, where CompareHazard only rules a factor-two separation.
+func CensorCut(h, theta float64) float64 {
+	if h > hazardHuge {
+		return 0
+	}
+	return math.Exp(-(theta*(h*(1+hazardRelBand)+hazardAbsBand)*(1+1e-9) + 1e-12))
+}
+
 // CompareExp reports how the variate FromExp(e) compares to x when that is
 // certain despite rounding: +1 (FromExp(e) > x surely), -1 (< x surely), or
 // 0 when e lands inside the guard band around the exact boundary — or when

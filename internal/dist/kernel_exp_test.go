@@ -143,6 +143,41 @@ func TestCompareHazard(t *testing.T) {
 	}
 }
 
+// TestCensorCut checks the uniform-domain cut against the banded test it
+// stands in for: the largest float below the cut, and the cut's neighbours
+// down the 2^-53 uniform grid, must all compare certainly above h·θ — over
+// hazards from the absolute band's scale to hazardHuge and tilts from tiny
+// (where the absolute margin carries the proof) to large.
+func TestCensorCut(t *testing.T) {
+	for _, h := range []float64{0, 1e-9, 1e-6, 0.0175, 0.14, 1, 37, 1e4, 1e8} {
+		for _, theta := range []float64{1e-300, 1e-6, 0.01, 0.5, 1, 2, 8, 1e3} {
+			cut := CensorCut(h, theta)
+			if !(cut >= 0 && cut < 1) {
+				t.Fatalf("CensorCut(%v, %v) = %v outside [0, 1)", h, theta, cut)
+			}
+			if cut == 0 {
+				continue
+			}
+			us := []float64{math.Nextafter(cut, 0)}
+			if x := uint64(cut * (1 << 53)); x > 0 {
+				for d := uint64(0); d < 4 && d < x; d++ {
+					if u := float64(x-d) / (1 << 53); u < cut {
+						us = append(us, u)
+					}
+				}
+			}
+			for _, u := range us {
+				if got := CompareHazard(-math.Log(u)/theta, h); got != 1 {
+					t.Fatalf("h=%v θ=%v: u=%v below cut %v compares %d, want certainly above", h, theta, u, cut, got)
+				}
+			}
+		}
+	}
+	if cut := CensorCut(2e8, 1); cut != 0 {
+		t.Errorf("CensorCut above hazardHuge = %v, want 0", cut)
+	}
+}
+
 // TestDrawLRFromExpMatchesDrawLR pins the tilted exp-variate entry point
 // against DrawLR over a seed grid, covering both the censored and the
 // uncensored branch, and CensoredLogLR against the censored branch's value.

@@ -203,12 +203,34 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body (job spec or merge manifest). Real
+// bodies are a few KiB — a large component topology stays well under
+// 64 KiB — so 1 MiB only ever stops a client that would otherwise make the
+// decoder buffer an unbounded body in memory.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// bodies over maxBodyBytes. On failure it writes the error response — 413
+// for an oversized body, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s exceeds %d bytes", what, tooBig.Limit))
+		return false
+	}
+	writeErr(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if !decodeBody(w, r, &spec, "job spec") {
 		return
 	}
 	j, reused, err := s.Submit(spec)
@@ -351,10 +373,7 @@ type mergeRequest struct {
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	var req mergeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad merge request: %w", err))
+	if !decodeBody(w, r, &req, "merge request") {
 		return
 	}
 	j, err := s.MergeJobs(req.Jobs)

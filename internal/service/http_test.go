@@ -460,3 +460,35 @@ func TestHTTPTopologyJobMatchesComponentChains(t *testing.T) {
 			res.TotalDDFs, res.UnavailEvents, len(res.Events))
 	}
 }
+
+// TestHTTPOversizedBody checks both JSON endpoints refuse a body over the
+// 1 MiB cap with 413 instead of buffering it, and still serve a normal
+// request afterwards.
+func TestHTTPOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxConcurrent: 1, Workers: 1})
+	pad := strings.Repeat("a", maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"params": {"group_size": 8}, "padding": "` + pad + `"}`},
+		{"/v1/merge", `{"jobs": ["` + pad + `"]}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", c.path, err)
+		}
+		var doc map[string]string
+		decodeJSON(t, resp, &doc)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", c.path, len(c.body), resp.StatusCode)
+		}
+		if !strings.Contains(doc["error"], "exceeds") {
+			t.Errorf("POST %s error %q does not name the limit", c.path, doc["error"])
+		}
+	}
+	// A body just under the cap is decoded normally: an unknown merge job
+	// is a 400, not a 413.
+	resp := postJSON(t, ts.URL+"/v1/merge", map[string][]string{"jobs": {strings.Repeat("a", maxBodyBytes-64)}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/merge just under the cap = %d, want 400", resp.StatusCode)
+	}
+}

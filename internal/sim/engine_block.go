@@ -13,18 +13,26 @@ import (
 
 // BlockEngine is the batched structure-of-arrays implementation of the
 // interval chronology. It consumes the RNG through a prefetched uniform
-// column — one bulk rng.Uint64s refill ahead of a pre-logged exponential
-// frontier — and runs the compiled kernel transforms as flat array math,
-// while producing chronologies bit-identical to IntervalEngine: the same
-// stream yields the same DDFs and the same log weight, draw for draw.
+// column — bulk rng.Uint64s refills of one small fixed size, the
+// exponential transform taken per draw on demand — and runs the compiled
+// kernel transforms as flat array math, while producing chronologies
+// bit-identical to IntervalEngine: the same stream yields the same DDFs
+// and the same log weight, draw for draw.
 //
-// Two lazy-transform shortcuts keep the per-iteration math sublinear in the
-// draw count without breaking that identity:
+// Three lazy-transform shortcuts keep the per-iteration math sublinear in
+// the draw count without breaking that identity:
 //
-//   - An operational draw (any generation) whose exponential variate lies
-//     certainly above the slot's mission hazard H_s(M) (dist.CompareHazard,
-//     guard-banded) is substituted with +Inf instead of being transformed —
-//     H monotone means it is certainly past the remaining mission too.
+//   - An operational draw whose raw uniform lies below the slot's censor
+//     cut (dist.CensorCut of the mission hazard, precomputed per slot) is
+//     ruled censored in the uniform domain, before any log is taken: the
+//     cut maps strictly inside the banded hazard test below, so the draw
+//     takes exactly the censored result that test would give it. Most
+//     operational draws of a rare-event configuration land here.
+//   - Otherwise, an operational draw (any generation) whose exponential
+//     variate lies certainly above the slot's mission hazard H_s(M)
+//     (dist.CompareHazard, guard-banded) is substituted with +Inf instead
+//     of being transformed — H monotone means it is certainly past the
+//     remaining mission too.
 //     Any value strictly above the mission is output-equivalent there: the
 //     slot loop breaks without appending an episode, the defect window is
 //     clipped to the mission either way, and a defect end truncated by the
@@ -61,28 +69,25 @@ type BlockEngine struct{}
 
 var _ Engine = BlockEngine{}
 
-const (
-	// colChunk is the uniforms fetched on the column's first bulk RNG
-	// refill: covers the ~170-draw base-case iteration in one fill most of
-	// the time.
-	colChunk = 192
-	// colChunkMore is the refill size after the first: tilted iterations
-	// overrun the first chunk by a fraction of it, and a short tail chunk
-	// keeps the generator from running far past the draws the chronology
-	// actually consumes.
-	colChunkMore = 64
-)
+// colChunk is the uniforms fetched per bulk RNG refill — every refill,
+// the first included. Small, because the generator work past the last
+// draw an iteration consumes is pure waste (the runner reseeds per
+// iteration): a rare-event iteration draws about ten uniforms, a scrubbed
+// base-case one ~170, and a refill's fixed cost is a call plus a state
+// load and store.
+const colChunk = 32
 
-// drawCol is the prefetched draw column: raw uniforms filled in bulk, the
-// exponential transform applied on demand at consumption (so draws whose
-// log is never needed — scrub variates resolved lazily — never pay for
-// it), and the stratification override for the iteration's first accepted
-// uniform.
+// drawCol is the prefetched draw column: raw uniforms filled in bulk
+// colChunk at a time, the exponential transform applied on demand at
+// consumption (so draws whose log is never needed — scrub variates
+// resolved lazily, operational draws censored below their cut — never pay
+// for it), and the stratification override for the iteration's first
+// accepted uniform.
 type drawCol struct {
-	r     *rng.RNG
-	pos   int // next entry to consume
-	n     int // filled entries
-	first bool
+	r *rng.RNG
+	// pos is the next entry to consume; colChunk means the column is
+	// spent (every refill fills it whole).
+	pos int
 	// When strataK > 0 the next accepted (nonzero) uniform u is replaced
 	// by (strataJ + u)/strataK before the exponential transform — the
 	// within-block stratification of the first operational-failure draw.
@@ -95,32 +100,26 @@ type drawCol struct {
 // of k (k = 0 disables stratification).
 func (c *drawCol) reset(r *rng.RNG, j, k int) {
 	c.r = r
-	c.pos, c.n = 0, 0
-	c.first = true
+	c.pos = colChunk
 	c.strataJ, c.strataK = float64(j), float64(k)
 }
 
-// refill fetches the next chunk of raw uniforms: a full column first, then
-// short tails. The chunking is invisible to the draw sequence — Uint64s is
-// identical to sequential Uint64 calls regardless of slice length.
+// refill fetches the next chunk of raw uniforms. The chunking is
+// invisible to the draw sequence — Uint64s is identical to sequential
+// Uint64 calls regardless of slice length.
 func (c *drawCol) refill() {
-	n := colChunk
-	if !c.first {
-		n = colChunkMore
-	}
-	c.first = false
-	c.r.Uint64s(c.u[:n])
-	c.pos, c.n = 0, n
+	c.r.Uint64s(c.u[:])
+	c.pos = 0
 }
 
 // nextUniform returns the next nonzero uniform in (0,1), bit-identical to
 // rng.Float64Open on the same stream: zero uniforms are consumed and
 // retried. The exponential transform -log(u) is left to the caller, who
 // may never need it. The common case — entry available, nonzero — stays
-// small enough to inline; refills and the (2^-53-probability) zero retry
-// live in the slow path.
+// short; refills and the (2^-53-probability) zero retry live in the slow
+// path.
 func (c *drawCol) nextUniform() float64 {
-	if c.pos < c.n {
+	if c.pos < colChunk {
 		u := float64(c.u[c.pos]>>11) / (1 << 53)
 		c.pos++
 		if u > 0 {
@@ -132,7 +131,7 @@ func (c *drawCol) nextUniform() float64 {
 
 func (c *drawCol) nextUniformSlow() float64 {
 	for {
-		if c.pos == c.n {
+		if c.pos == colChunk {
 			c.refill()
 		}
 		u := float64(c.u[c.pos]>>11) / (1 << 53)
@@ -144,26 +143,35 @@ func (c *drawCol) nextUniformSlow() float64 {
 }
 
 // nextExp returns the next unit-exponential variate, bit-identical to
-// rng.ExpFloat64 on the same stream.
+// rng.ExpFloat64 on the same stream: -log of nextOpen's uniform.
 func (c *drawCol) nextExp() float64 {
 	if c.strataK > 0 {
-		return c.nextExpStrata()
+		return -math.Log(c.nextOpenStrata())
 	}
 	return -math.Log(c.nextUniform())
 }
 
-// nextExpStrata is the armed-stratum draw: the raw uniform is remapped
-// into stratum strataJ of strataK before the exponential transform.
-func (c *drawCol) nextExpStrata() float64 {
+// nextOpen returns the uniform behind the next exponential variate: the
+// next nonzero uniform, remapped into the armed stratum if any.
+func (c *drawCol) nextOpen() float64 {
+	if c.strataK > 0 {
+		return c.nextOpenStrata()
+	}
+	return c.nextUniform()
+}
+
+// nextOpenStrata is the armed-stratum draw: the raw uniform is remapped
+// into stratum strataJ of strataK (and the stratum disarmed).
+func (c *drawCol) nextOpenStrata() float64 {
 	u := (c.strataJ + c.nextUniform()) / c.strataK
 	c.strataK = 0
-	return -math.Log(u)
+	return u
 }
 
 // nextFloat64 returns the next uniform in [0,1), bit-identical to
 // rng.Float64 (no zero-skip) — the NHPP thinning acceptance draw.
 func (c *drawCol) nextFloat64() float64 {
-	if c.pos == c.n {
+	if c.pos == colChunk {
 		c.refill()
 	}
 	u := float64(c.u[c.pos]>>11) / (1 << 53)
@@ -202,7 +210,8 @@ type blockChronology struct {
 // blockScratch is the reusable per-worker state of the block engine: the
 // compiled kernels, the draw column, per-slot chronologies, the merged
 // failure sequence, and the per-slot acceleration constants (mission
-// hazards, censored gen-1 log ratios, the control-variate expectation).
+// hazards, censor cuts, censored gen-1 log ratios, the control-variate
+// expectation).
 type blockScratch struct {
 	kern   cfgKernels
 	chrons []blockChronology
@@ -212,6 +221,9 @@ type blockScratch struct {
 	// operational-failure distribution — the gen-1 lazy-skip threshold and
 	// the control variate's analytic input.
 	hm []float64
+	// ucut[s] = dist.CensorCut(hm[s], θ) (θ = 1 unbiased): an operational
+	// draw whose uniform lies below it is censored without its log.
+	ucut []float64
 	// lr1[s] is the censored gen-1 log likelihood ratio (θ-1)·H_s(M),
 	// substituted for a provably censored first draw under bias.
 	lr1 []float64
@@ -260,18 +272,22 @@ func (sc *blockScratch) prep(cfg *Config) error {
 	sc.chrons = sc.chrons[:cfg.Drives]
 	if cap(sc.hm) < cfg.Drives {
 		sc.hm = make([]float64, cfg.Drives)
+		sc.ucut = make([]float64, cfg.Drives)
 		sc.lr1 = make([]float64, cfg.Drives)
 	}
 	sc.hm = sc.hm[:cfg.Drives]
+	sc.ucut = sc.ucut[:cfg.Drives]
 	sc.lr1 = sc.lr1[:cfg.Drives]
 	sumH := 0.0
 	for s := 0; s < cfg.Drives; s++ {
 		if sc.kern.biasOp {
 			tk := &sc.kern.ttopTilt[s]
 			sc.hm[s] = tk.CumHazard(cfg.Mission)
+			sc.ucut[s] = dist.CensorCut(sc.hm[s], tk.Theta())
 			sc.lr1[s] = tk.CensoredLogLR(cfg.Mission)
 		} else {
 			sc.hm[s] = sc.kern.ttop[s].CumHazard(cfg.Mission)
+			sc.ucut[s] = dist.CensorCut(sc.hm[s], 1)
 			sc.lr1[s] = 0
 		}
 		sumH += sc.hm[s]
@@ -601,19 +617,27 @@ func (sc *blockScratch) buildSlot(cfg *Config, slot int, ch *blockChronology) (l
 }
 
 // drawTTOp is the column-fed counterpart of cfgKernels.drawTTOp with the
-// hazard-domain censoring skip: when the exponential variate is certainly
-// past the slot's full mission hazard it is certainly past the remaining
-// mission too (H is monotone, upFrom >= 0), so +Inf stands in for the
-// transformed draw (output-equivalent — see the engine comment). Under
-// bias the censored log ratio stands in for the weight factor: the
-// precomputed (θ-1)·H(M) for a first-generation drive, the same
-// CensoredLogLR the full transform would reach for later generations —
-// one cumulative hazard instead of a quantile plus a cumulative hazard.
+// censoring skips: when the exponential variate is certainly past the
+// slot's full mission hazard it is certainly past the remaining mission
+// too (H is monotone, upFrom >= 0), so +Inf stands in for the transformed
+// draw (output-equivalent — see the engine comment). The uniform-domain
+// cut decides most such draws before the log is taken; the banded hazard
+// test decides the rest, and the cut lies strictly inside it, so both
+// reach the same verdict. Under bias the censored log ratio stands in for
+// the weight factor: the precomputed (θ-1)·H(M) for a first-generation
+// drive, the same CensoredLogLR the full transform would reach for later
+// generations — one cumulative hazard instead of a quantile plus a
+// cumulative hazard.
 func (sc *blockScratch) drawTTOp(cfg *Config, slot int, upFrom float64, gen1 bool) (dt, logLR float64) {
-	e := sc.col.nextExp()
+	u := sc.col.nextOpen()
+	censored := u < sc.ucut[slot]
+	var e float64
+	if !censored {
+		e = -math.Log(u)
+	}
 	if sc.kern.biasOp {
 		tk := &sc.kern.ttopTilt[slot]
-		if dist.CompareHazard(e/tk.Theta(), sc.hm[slot]) > 0 {
+		if censored || dist.CompareHazard(e/tk.Theta(), sc.hm[slot]) > 0 {
 			if gen1 {
 				return math.Inf(1), sc.lr1[slot]
 			}
@@ -621,7 +645,7 @@ func (sc *blockScratch) drawTTOp(cfg *Config, slot int, upFrom float64, gen1 boo
 		}
 		return tk.DrawLRFromExp(e, cfg.Mission-upFrom)
 	}
-	if dist.CompareHazard(e, sc.hm[slot]) > 0 {
+	if censored || dist.CompareHazard(e, sc.hm[slot]) > 0 {
 		return math.Inf(1), 0
 	}
 	return sc.kern.ttop[slot].FromExp(e), 0

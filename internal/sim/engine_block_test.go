@@ -48,6 +48,112 @@ func blockIdentityConfigs() map[string]Config {
 		"nhpp":            nhpp,
 		"biased op":       biased,
 		"biased op+ld":    biasedBoth,
+		"rare bias θ=8":   rareBiasConfig(8),
+		"rare bias θ=0.5": rareBiasConfig(0.5),
+	}
+}
+
+// rareBiasConfig is the exponential rare-event configuration (8 drives,
+// R=1, one-year mission, MTBF 500,000 h, MTTR 100 h) with its TTOp hazard
+// tilted by theta: nearly every operational draw is censored past the
+// mission, so the uniform-domain censor cut decides most draws.
+func rareBiasConfig(theta float64) Config {
+	return Config{
+		Drives:     8,
+		Redundancy: 1,
+		Mission:    8760,
+		Trans: Transitions{
+			TTOp: dist.MustExponential(2e-6),
+			TTR:  dist.MustExponential(1e-2),
+		},
+		Bias: Bias{Op: theta},
+	}
+}
+
+// TestBlockEngineCensorCutVRIdentity covers the draws the interval engine
+// cannot replay: under antithetic pairing and a stratified first draw,
+// every iteration of the θ=8 rare-event configuration must give the same
+// DDFs, log weight and control observation with the uniform-domain censor
+// cut armed as with every draw taking the full log path.
+func TestBlockEngineCensorCutVRIdentity(t *testing.T) {
+	cfg := rareBiasConfig(8)
+	cfg.VR = VR{Antithetic: true, Stratify: true, BlockSize: 64}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var cut, full blockScratch
+	if err := cut.prep(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.prep(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	clear(full.ucut)
+	var r rng.RNG
+	var bufA, bufB []DDF
+	events := 0
+	for g := 0; g < 20000; g++ {
+		stream, anti := cfg.VR.stream(g)
+		j, k := cfg.VR.stratum(g)
+		r.SeedStream(42, stream)
+		r.SetAntithetic(anti)
+		cut.col.reset(&r, j, k)
+		var lwA, zA, lwB, zB float64
+		bufA, lwA, zA = cut.simulateGroup(&cfg, bufA[:0])
+		r.SeedStream(42, stream)
+		r.SetAntithetic(anti)
+		full.col.reset(&r, j, k)
+		bufB, lwB, zB = full.simulateGroup(&cfg, bufB[:0])
+		if !reflect.DeepEqual(bufA, bufB) || math.Float64bits(lwA) != math.Float64bits(lwB) || zA != zB {
+			t.Fatalf("iteration %d: cut (%v, %v, %v) vs full log path (%v, %v, %v)", g, bufA, lwA, zA, bufB, lwB, zB)
+		}
+		events += len(bufA)
+	}
+	if events == 0 {
+		t.Fatal("no events in 20000 iterations; identity test is vacuous")
+	}
+}
+
+// TestDrawTTOpCensorCutBoundary feeds drawTTOp column uniforms one grid
+// step either side of each slot's censor cut and checks the shortcut's
+// (dt, logLR) against the full log path (the cut disarmed) bit for bit,
+// for first and later generations, biased and unbiased.
+func TestDrawTTOpCensorCutBoundary(t *testing.T) {
+	for _, theta := range []float64{8, 0.5, 0} {
+		cfg := rareBiasConfig(theta)
+		var sc blockScratch
+		if err := sc.prep(&cfg); err != nil {
+			t.Fatal(err)
+		}
+		draw := func(slot int, x uint64, upFrom float64, gen1 bool) (float64, float64) {
+			sc.col.u[0] = x << 11
+			sc.col.pos, sc.col.strataK = 0, 0
+			return sc.drawTTOp(&cfg, slot, upFrom, gen1)
+		}
+		for slot, ucut := range sc.ucut {
+			if !(ucut > 0.5 && ucut < 1) {
+				t.Fatalf("θ=%v slot %d: cut %v outside the expected (0.5, 1)", theta, slot, ucut)
+			}
+			x0 := uint64(ucut * (1 << 53)) // largest grid uniform <= ucut
+			for x := x0 - 2; x <= x0+2; x++ {
+				for _, gen := range []struct {
+					upFrom float64
+					gen1   bool
+				}{{0, true}, {1234.5, false}} {
+					dt, lr := draw(slot, x, gen.upFrom, gen.gen1)
+					sc.ucut[slot] = 0
+					wantDt, wantLr := draw(slot, x, gen.upFrom, gen.gen1)
+					sc.ucut[slot] = ucut
+					if math.Float64bits(dt) != math.Float64bits(wantDt) || math.Float64bits(lr) != math.Float64bits(wantLr) {
+						t.Fatalf("θ=%v slot %d u=%v (cut %v): shortcut (%v, %v), full path (%v, %v)",
+							theta, slot, float64(x)/(1<<53), ucut, dt, lr, wantDt, wantLr)
+					}
+					if u := float64(x) / (1 << 53); u < ucut && !math.IsInf(dt, 1) {
+						t.Fatalf("θ=%v slot %d: u=%v below the cut %v drew %v, not censored", theta, slot, u, ucut, dt)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -89,7 +195,9 @@ func TestBlockEngineBitIdentity(t *testing.T) {
 				}
 				events += len(bufA)
 			}
-			if events == 0 && name != "paper base case" && name != "biased op" && name != "biased op+ld" && name != "mixed vintage" {
+			// Biased runs carry a nonzero log weight on every stream, so
+			// they test the weight bookkeeping even without events.
+			if events == 0 && !cfg.Bias.Enabled() && name != "paper base case" && name != "mixed vintage" {
 				t.Errorf("no events in 2000 streams; identity test is vacuous")
 			}
 		})

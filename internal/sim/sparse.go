@@ -105,22 +105,24 @@ func (r *SparseResult) Observe(iteration int, ddfs []DDF, logW float64) {
 		// allocates ~5× the final slice size in dead intermediate copies —
 		// the dominant bytes/op of a batched run. Doubling caps the total
 		// allocation at ~2× final size.
-		newCap := 2 * cap(r.Events)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 64 {
-			newCap = 64
-		}
-		grown := make([]GroupEvent, len(r.Events), newCap)
-		copy(grown, r.Events)
-		r.Events = grown
+		r.growLocked(max(2*cap(r.Events), need, 64))
 	}
 	for _, d := range ddfs {
 		r.Events = append(r.Events, GroupEvent{Group: iteration, LogW: logW, DDF: d})
 		r.tallyOne(d.Cause)
 	}
 	r.invalidateLocked()
+}
+
+// growLocked moves r.Events to a new backing array of capacity newCap. The
+// field is cleared before the allocation: a garbage collection that the
+// allocation starts would otherwise see the field overwritten mid-cycle,
+// and the write barrier would keep the old array — a whole second copy of
+// the event index — alive until the following cycle. r.mu must be held.
+func (r *SparseResult) growLocked(newCap int) {
+	old := r.Events
+	r.Events = nil
+	r.Events = append(make([]GroupEvent, 0, newCap), old...)
 }
 
 // FleetObserver is implemented by collectors that want each fleet
@@ -268,6 +270,19 @@ func (r *SparseResult) invalidateLocked() {
 	r.flatWeights = nil
 }
 
+// Reset empties r for reuse as a fresh collector, keeping its event
+// capacity: a caller that runs batch after batch through one result and
+// merges each into a running total stops regrowing it every batch.
+func (r *SparseResult) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.Groups = 0
+	r.Events = r.Events[:0]
+	r.TotalDDFs, r.OpOpDDFs, r.LdOpDDFs, r.UnavailEvents = 0, 0, 0, 0
+	r.VR, r.Fleet = nil, nil
+	r.invalidateLocked()
+}
+
 // Tally recomputes the aggregate counts from Events — for results
 // assembled by hand, e.g. restored from a campaign checkpoint.
 func (r *SparseResult) Tally() {
@@ -289,6 +304,12 @@ func (r *SparseResult) Merge(other *SparseResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	base := r.Groups
+	if need := len(r.Events) + len(other.Events); need > cap(r.Events) {
+		// A merge target is a long-lived index that grows a batch at a
+		// time, where spare capacity costs more than copies: grow by a
+		// quarter, the runtime's own rate for large slices.
+		r.growLocked(max(cap(r.Events)+cap(r.Events)/4, need))
+	}
 	for _, e := range other.Events {
 		e.Group += base
 		r.Events = append(r.Events, e)

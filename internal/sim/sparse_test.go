@@ -124,6 +124,39 @@ func TestSparseMergeComposition(t *testing.T) {
 	}
 }
 
+// TestSparseResetReuse runs a campaign's batches through one reused
+// collector, Reset before each batch and merged into a running total: the
+// total must equal a single run — events, tallies and VR blocks — so no
+// state leaks from one batch into the next, and merges that grow the
+// total's event index keep every event.
+func TestSparseResetReuse(t *testing.T) {
+	cfg := fastConfig()
+	cfg.VR = VR{Antithetic: true, BlockSize: 8}
+	const n = 400
+	whole, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, br := &SparseResult{}, &SparseResult{}
+	for off, batch := 0, 48; off < n; off, batch = off+batch, 80-batch {
+		br.Reset()
+		if err := RunCollect(RunSpec{Config: cfg, Iterations: batch, Seed: 7, Offset: off}, br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Groups != batch || len(br.VR.Blocks) != batch/8 {
+			t.Fatalf("offset %d: reused collector holds %d groups, %d VR blocks; want %d, %d",
+				off, br.Groups, len(br.VR.Blocks), batch, batch/8)
+		}
+		total.Merge(br)
+	}
+	if total.Groups != whole.Groups || total.TotalDDFs != whole.TotalDDFs || !reflect.DeepEqual(total.Events, whole.Events) {
+		t.Fatal("batches through a reused collector differ from a single run")
+	}
+	if !reflect.DeepEqual(total.VR, whole.VR) {
+		t.Fatal("VR tallies through a reused collector differ from a single run")
+	}
+}
+
 func TestSparseResultHelpers(t *testing.T) {
 	r := &SparseResult{}
 	r.Observe(0, nil, 0)

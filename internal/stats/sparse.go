@@ -65,33 +65,64 @@ func FitPowerLawTimes(times []float64, nSystems int, horizon float64) (PowerLawF
 // bit-for-bit; the variance folds the zero terms in closed form
 // ((n-k)·mean²), which can differ from the dense sum in the last ulp.
 func NormalMeanCISparse(nonzero []float64, n int, level float64) (Interval, error) {
-	if n < 2 {
-		return Interval{}, fmt.Errorf("stats: need >= 2 observations, got %d", n)
-	}
-	if len(nonzero) > n {
-		return Interval{}, fmt.Errorf("stats: %d nonzero values exceed %d observations", len(nonzero), n)
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("stats: confidence level %v outside (0,1)", level)
-	}
 	// Sum in sorted order, exactly as Summarize does for the dense vector
 	// (where the implied zeros sort first and add nothing).
 	s := make([]float64, len(nonzero))
 	copy(s, nonzero)
 	sort.Float64s(s)
+	return NormalMeanCISorted(s, n, level)
+}
+
+// NormalMeanCISorted is NormalMeanCISparse over nonzero values already in
+// ascending order — the one home of the interval formula. Callers that
+// keep their sample sorted as it grows (MergeSorted) skip the per-call
+// copy and sort and get the identical interval.
+func NormalMeanCISorted(sorted []float64, n int, level float64) (Interval, error) {
+	if n < 2 {
+		return Interval{}, fmt.Errorf("stats: need >= 2 observations, got %d", n)
+	}
+	if len(sorted) > n {
+		return Interval{}, fmt.Errorf("stats: %d nonzero values exceed %d observations", len(sorted), n)
+	}
+	if level <= 0 || level >= 1 {
+		return Interval{}, fmt.Errorf("stats: confidence level %v outside (0,1)", level)
+	}
 	var sum float64
-	for _, v := range s {
+	for _, v := range sorted {
 		sum += v
 	}
 	mean := sum / float64(n)
 	var ss float64
-	for _, v := range s {
+	for _, v := range sorted {
 		d := v - mean
 		ss += d * d
 	}
-	ss += float64(n-len(s)) * mean * mean
+	ss += float64(n-len(sorted)) * mean * mean
 	variance := ss / float64(n-1)
 	z := normalQuantile(0.5 + level/2)
 	half := z * math.Sqrt(variance) / math.Sqrt(float64(n))
 	return Interval{Lo: mean - half, Hi: mean + half, Level: level}, nil
+}
+
+// MergeSorted merges the ascending chunk into the ascending slice sorted
+// and returns the extended slice: sorted grows by append (amortized, so a
+// caller that keeps the result allocates only on growth) and the merge
+// runs in place from the back, reading chunk and never clobbering an
+// unread element of sorted. The result is the ascending order of the
+// union, so a sum over it equals sort-then-sum of all the values — the
+// incremental form of NormalMeanCISparse's sort. chunk must not alias
+// sorted's backing array; neither may hold NaN.
+func MergeSorted(sorted, chunk []float64) []float64 {
+	i := len(sorted) - 1
+	sorted = append(sorted, chunk...)
+	for j, k := len(chunk)-1, len(sorted)-1; j >= 0; k-- {
+		if i >= 0 && sorted[i] > chunk[j] {
+			sorted[k] = sorted[i]
+			i--
+		} else {
+			sorted[k] = chunk[j]
+			j--
+		}
+	}
+	return sorted
 }

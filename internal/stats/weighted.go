@@ -36,11 +36,21 @@ func ESS(weights []float64) float64 {
 // unbiased path, which only applies to 0/1 observations.
 func WeightedBernoulliCI(weights []float64, n int, level float64) (Interval, error) {
 	for _, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return Interval{}, fmt.Errorf("stats: invalid importance weight %v", w)
+		if err := CheckWeight(w); err != nil {
+			return Interval{}, err
 		}
 	}
 	return NormalMeanCISparse(weights, n, level)
+}
+
+// CheckWeight rejects a likelihood-ratio weight no estimator can use: NaN,
+// infinite, or negative. Callers that accumulate weights incrementally
+// check each once, as it enters, instead of rescanning the whole vector.
+func CheckWeight(w float64) error {
+	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("stats: invalid importance weight %v", w)
+	}
+	return nil
 }
 
 // MCFFromWeightedTimes computes the importance-weighted mean cumulative

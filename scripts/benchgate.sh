@@ -22,10 +22,13 @@ COUNT="${BENCH_COUNT:-10}"
 BENCHTIME="${BENCH_TIME:-0.5s}"
 MAX_PCT="${MAX_REGRESSION_PCT:-10}"
 # The pinned set: small, stable benchmarks that cover the per-draw kernels,
-# the end-to-end engine iteration, and the runner's dispatch loop
-# (BenchmarkRunSparse/default and /engine=event). Sub-benchmarks of the
-# listed names are included.
-PIN='^(BenchmarkKernelWeibull|BenchmarkKernelTilted|BenchmarkKernelFill|BenchmarkEngineTimelineInto|BenchmarkEngineTimelineFlatTopoInto|BenchmarkEngineTimelineBiasedInto|BenchmarkEngineSequentialInto|BenchmarkEngineSequentialBiasedInto|BenchmarkEngineBlockInto|BenchmarkEngineBlockBiasedInto|BenchmarkEngineBlockVRInto|BenchmarkFleetInto|BenchmarkRunSparse)$'
+# the end-to-end engine iteration, the runner's dispatch loop
+# (BenchmarkRunSparse/default and /engine=event), and whole adaptive
+# campaigns, plain and importance-sampled (BenchmarkAdaptiveCampaign,
+# BenchmarkAdaptiveCampaignBiased). Sub-benchmarks of the listed names are
+# included. A pinned benchmark the base does not have yet is reported as
+# new and not gated.
+PIN='^(BenchmarkKernelWeibull|BenchmarkKernelTilted|BenchmarkKernelFill|BenchmarkEngineTimelineInto|BenchmarkEngineTimelineFlatTopoInto|BenchmarkEngineTimelineBiasedInto|BenchmarkEngineSequentialInto|BenchmarkEngineSequentialBiasedInto|BenchmarkEngineBlockInto|BenchmarkEngineBlockBiasedInto|BenchmarkEngineBlockVRInto|BenchmarkFleetInto|BenchmarkRunSparse|BenchmarkAdaptiveCampaign|BenchmarkAdaptiveCampaignBiased)$'
 # The batched engine must hold its headline speedup over the scalar
 # interval engine (BENCH_sim.json): block median <= sequential/MIN_SPEEDUP.
 MIN_SPEEDUP="${MIN_BLOCK_SPEEDUP:-1.5}"
@@ -95,8 +98,12 @@ if command -v benchstat >/dev/null 2>&1; then
 fi
 
 echo "benchgate: median sec/op, base vs head (fail above +${MAX_PCT}%)"
-join <(medians "$tmp/base.txt") <(medians "$tmp/head.txt") |
+join -a 2 <(medians "$tmp/base.txt") <(medians "$tmp/head.txt") |
   awk -v max="$MAX_PCT" '
+    NF == 2 {
+      printf "  %-55s %12s %12.1f %8s\n", $1, "-", $2, "new"
+      next
+    }
     {
       delta = ($3 - $2) / $2 * 100
       printf "  %-55s %12.1f %12.1f %+7.1f%%\n", $1, $2, $3, delta
