@@ -13,73 +13,83 @@ import (
 // warm-up, an event-free base-case chronology — the overwhelming majority
 // in the rare-event regime — runs with zero heap allocations. The contract
 // covers both engines, plain and with importance sampling active (the
-// tilted kernels must not reintroduce per-draw allocation).
+// tilted kernels must not reintroduce per-draw allocation), and the event
+// engine with a finite spare pool (the pool lives in the pooled scratch).
 func TestSimulateIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the zero-alloc contract is gated in the non-race job")
 	}
-	engines := []struct {
-		name string
-		eng  Engine
+	cases := []struct {
+		name   string
+		eng    Engine
+		bias   Bias
+		spares *SparePolicy
 	}{
-		{"EventEngine", EventEngine{}},
-		{"IntervalEngine", IntervalEngine{}},
+		{"EventEngine/Plain", EventEngine{}, Bias{}, nil},
+		{"EventEngine/BiasedOp8", EventEngine{}, Bias{Op: 8}, nil},
+		{"EventEngine/FiniteSpares", EventEngine{}, Bias{}, &SparePolicy{Initial: 1, ReplenishHours: 24}},
+		{"IntervalEngine/Plain", IntervalEngine{}, Bias{}, nil},
+		{"IntervalEngine/BiasedOp8", IntervalEngine{}, Bias{Op: 8}, nil},
 	}
-	biases := []struct {
-		name string
-		bias Bias
-	}{
-		{"Plain", Bias{}},
-		{"BiasedOp8", Bias{Op: 8}},
-	}
-	for _, e := range engines {
-		for _, b := range biases {
-			t.Run(e.name+"/"+b.name, func(t *testing.T) {
-				// sync.Pool contents may be dropped by a GC cycle
-				// mid-measurement; that is a pool refill, not a hot-path
-				// allocation. Disable GC.
-				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, e := range cases {
+		t.Run(e.name, func(t *testing.T) {
+			// sync.Pool contents may be dropped by a GC cycle
+			// mid-measurement; that is a pool refill, not a hot-path
+			// allocation. Disable GC.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-				cfg := paperBaseConfig()
-				cfg.Bias = b.bias
-				var (
-					r   rng.RNG
-					buf []DDF
-					err error
-				)
-				// Find a stream with an event-free chronology (at ~2.7e-4
-				// plain DDF probability the first candidate virtually always
-				// qualifies; under θ=8 most streams still qualify), warming
-				// the pooled scratch along the way.
-				stream := uint64(0)
-				found := false
-				for s := uint64(0); s < 100; s++ {
-					r.SeedStream(1, s)
-					buf, _, err = e.eng.SimulateInto(cfg, &r, buf[:0])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(buf) == 0 && !found {
-						stream, found = s, true
-					}
-				}
-				if !found {
-					t.Fatal("no event-free chronology in 100 base-case streams")
-				}
-
-				allocs := testing.AllocsPerRun(200, func() {
-					r.SeedStream(1, stream)
-					buf, _, err = e.eng.SimulateInto(cfg, &r, buf[:0])
-				})
+			cfg := paperBaseConfig()
+			cfg.Bias = e.bias
+			cfg.Spares = e.spares
+			var (
+				r   rng.RNG
+				buf []DDF
+				err error
+			)
+			// Find a stream with an event-free chronology (at ~2.7e-4
+			// plain DDF probability the first candidate virtually always
+			// qualifies; under θ=8 most streams still qualify), warming
+			// the pooled scratch along the way. With a spare pool the
+			// chronology must also fail a drive, so the pool is used.
+			stream := uint64(0)
+			found := false
+			for s := uint64(0); s < 100; s++ {
+				r.SeedStream(1, s)
+				buf, _, err = e.eng.SimulateInto(cfg, &r, buf[:0])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if allocs != 0 {
-					t.Errorf("event-free SimulateInto allocates %.1f allocs/run, want 0", allocs)
+				if len(buf) == 0 && !found && (e.spares == nil || failsDrive(t, cfg, s)) {
+					stream, found = s, true
 				}
+			}
+			if !found {
+				t.Fatal("no event-free chronology in 100 base-case streams")
+			}
+
+			allocs := testing.AllocsPerRun(200, func() {
+				r.SeedStream(1, stream)
+				buf, _, err = e.eng.SimulateInto(cfg, &r, buf[:0])
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("event-free SimulateInto allocates %.1f allocs/run, want 0", allocs)
+			}
+		})
 	}
+}
+
+// failsDrive reports whether stream s of seed 1 fails a drive within the
+// mission.
+func failsDrive(t *testing.T, cfg Config, s uint64) bool {
+	t.Helper()
+	tr := &Trace{}
+	if _, err := SimulateTraced(cfg, rng.ForStream(1, s), tr); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Count(TraceOpFail) > 0
 }
 
 // TestSimulateIntoZeroAllocCoupled extends the zero-allocation contract to

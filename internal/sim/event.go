@@ -1,6 +1,6 @@
 package sim
 
-// eventKind enumerates the event-queue engine's event types.
+// eventKind enumerates the chronology core's event types.
 type eventKind uint8
 
 const (
@@ -15,24 +15,24 @@ const (
 	// them.
 	evCompFail
 	evCompRestore
-	// evFleetSpare marks a failed slot's replacement drive arriving from a
-	// finite fleet spare pool: the slot may now enter the heal queue. Only
-	// the fleet engine schedules it.
-	evFleetSpare
+	// evSpare marks a failed slot's replacement drive arriving from a
+	// finite spare pool: the slot may now enter the repair server.
+	evSpare
 )
 
 // event is one scheduled occurrence in a group chronology. The struct is
-// deliberately packed to 48 bytes (slot and gen as int32, kind as a byte):
-// heap sifts copy whole events, so every saved byte is paid back thousands
-// of times per Monte Carlo iteration. int32 is ample — slots index drives
-// (fleet-wide at most millions) and gen counts a slot's replacements over
-// one mission.
+// deliberately packed to 48 bytes (slot, grp and gen as int32, kind as a
+// byte): heap sifts copy whole events, so every saved byte is paid back
+// thousands of times per Monte Carlo iteration. int32 is ample — slots
+// index drives (fleet-wide at most millions) and gen counts a slot's
+// replacements over one mission.
 type event struct {
 	time float64
 	seq  int64   // insertion order; deterministic tie-break
 	id   int64   // defect identifier for evDefectClear
 	arg  float64 // evTruncateDefects: clear defects that started at or before arg
 	slot int32
+	grp  int32 // the slot's group: its RNG stream, without touching the slot
 	gen  int32 // drive generation the event applies to (staleness guard)
 	kind eventKind
 }

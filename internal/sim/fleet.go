@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"raidrel/internal/rng"
 )
@@ -219,74 +218,6 @@ func (h *healHeap) pop() healReq {
 	return top
 }
 
-// fleetSlot is the per-drive-slot state of the fleet engine: the event
-// engine's slotState plus the repair-server bookkeeping (when the slot
-// failed, the TTR drawn at failure, and its heal-queue membership).
-type fleetSlot struct {
-	slotState
-	failTime float64
-	ttr      float64
-	queueSeq int64
-	queueGen int32
-	queued   bool
-}
-
-// fleetSim is the pooled scratch of one fleet chronology. Every slice is
-// sized to the fleet once and reused, so a warmed-up worker runs
-// chronologies — even 10⁵–10⁶-group ones — with zero steady-state heap
-// allocations when no group produces a DDF.
-type fleetSim struct {
-	cfg  FleetConfig
-	g    Config
-	kern cfgKernels
-
-	rngs  []rng.RNG // one independent stream per group
-	slots []fleetSlot
-	q     eventQueue
-
-	// Per-group state.
-	failedCount   []int32   // failed drives right now
-	queuedCount   []int32   // heal-queue members right now
-	suppressUntil []float64 // DDF suppression window end
-	suppressSlot  []int32   // global slot whose rebuild ends the window
-	degradedSince []float64 // start of the current degradation episode
-	// pendTrunc holds an ld+op DDF's concomitant defect repair while the
-	// failed slot's rebuild waits to start (slot -1: none pending).
-	pendTrunc []pendingTrunc
-
-	// Repair server.
-	heap    healHeap
-	spares  sparePool
-	active  int
-	depth   int
-	depthT  float64
-	depthI  float64 // ∫ depth dt
-	reqSeq  int64
-	seq     int64
-	defects int64 // defect id counter
-
-	// Backlog accumulators (copied into FleetStats at the end).
-	failures, rebuilds, waited, maxDepth int
-	totalWait, maxWait, maxExposure      float64
-	groupWait                            []float64 // caller's buffer or nil
-
-	// Sparse DDF accumulation: (group, DDF) pairs in event order, sorted
-	// by group for the visit pass. All reused.
-	evGroup  []int32
-	evDDF    []DDF
-	evIdx    []int32
-	evSort   evIdxSort
-	visitBuf []DDF
-}
-
-// pendingTrunc is the defect truncation an ld+op DDF schedules at the
-// failed slot's restore: clear slot's (generation gen) defects that started
-// at or before at.
-type pendingTrunc struct {
-	slot, gen int32
-	at        float64
-}
-
 // evIdxSort orders the event-index permutation by (group, original
 // position) — equivalent to a stable sort by group, because events were
 // appended in time order. A persistent sort.Interface value keeps large
@@ -306,228 +237,17 @@ func (s *evIdxSort) Less(a, b int) bool {
 }
 func (s *evIdxSort) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-var fleetSimPool = sync.Pool{New: func() any { return new(fleetSim) }}
-
-// release drops the references the scratch must not retain between runs
-// (the configuration's distributions, the caller's wait buffer) while
-// keeping every reusable backing array.
-func (s *fleetSim) release() {
-	s.cfg = FleetConfig{}
-	s.g = Config{}
-	s.kern.release()
-	s.spares.reset(nil)
-	s.groupWait = nil
-	for i := range s.evDDF {
-		s.evDDF[i] = DDF{}
-	}
-}
-
-func (s *fleetSim) limited() bool { return s.cfg.MaxConcurrentRebuilds > 0 }
-
-// pushEv schedules an event, discarding anything beyond the mission
-// horizon — exactly the event engine's push, sharing one global seq across
-// groups. Within a group the relative seq order matches a single-group
-// run's, which is what keeps uncontended fleet groups bit-identical to
-// independent EventEngine chronologies.
-func (s *fleetSim) pushEv(t float64, kind eventKind, slot, gen int32, id int64, arg float64) {
-	if t > s.g.Mission {
-		return
-	}
-	s.seq++
-	s.q.push(event{time: t, seq: s.seq, kind: kind, slot: slot, gen: gen, id: id, arg: arg})
-}
-
-func (s *fleetSim) scheduleOpFail(slot int, from float64, r *rng.RNG) {
-	// Bias is rejected by Validate, so the per-slot kernels are always the
-	// plain (untilted) ones — bit-identical to the event engine's draws.
-	dt := s.kern.ttop[slot%s.g.Drives].Draw(r)
-	s.pushEv(from+dt, evOpFail, int32(slot), s.slots[slot].gen, 0, 0)
-}
-
-func (s *fleetSim) scheduleDefect(slot int, from float64, r *rng.RNG) {
-	if s.kern.plainTTLd {
-		s.pushEv(from+s.kern.ttld.Draw(r), evDefectArrive, int32(slot), s.slots[slot].gen, 0, 0)
-		return
-	}
-	if !s.g.Trans.latentEnabled() {
-		return
-	}
-	// Bias is rejected by Validate, so the log ratio is always 0 here.
-	t, _ := s.kern.nextDefect(&s.g, from, s.g.Mission, r)
-	s.pushEv(t, evDefectArrive, int32(slot), s.slots[slot].gen, 0, 0)
-}
-
-// noteDepth advances the queue-depth time integral to t, then applies
-// delta.
-func (s *fleetSim) noteDepth(t float64, delta int) {
-	s.depthI += float64(s.depth) * (t - s.depthT)
-	s.depthT = t
-	s.depth += delta
-	if s.depth > s.maxDepth {
-		s.maxDepth = s.depth
-	}
-}
-
-// admit routes a spare-backed failed slot into the repair server at time
-// t: start immediately when a rebuild slot is free, otherwise join the
-// heal queue keyed by the group's current degradation level.
-func (s *fleetSim) admit(slot int, t float64) {
-	if s.limited() && s.active >= s.cfg.MaxConcurrentRebuilds {
-		sl := &s.slots[slot]
-		sl.queued = true
-		s.reqSeq++
-		sl.queueSeq = s.reqSeq
-		g := slot / s.g.Drives
-		s.queuedCount[g]++
-		s.heap.push(healReq{
-			level:    s.failedCount[g],
-			failTime: sl.failTime,
-			seq:      sl.queueSeq,
-			slot:     int32(slot),
-			gen:      sl.queueGen,
-		})
-		return
-	}
-	s.startRebuild(slot, t)
-}
-
-// startRebuild occupies a repair slot for the failed drive at time t and
-// schedules its restore. The TTR was drawn at failure time (keeping the
-// per-group RNG stream layout independent of contention); the rebuild runs
-// its full TTR from the start instant.
-func (s *fleetSim) startRebuild(slot int, t float64) {
-	sl := &s.slots[slot]
-	g := slot / s.g.Drives
-	s.active++
-	if wait := t - sl.failTime; wait > 0 {
-		s.waited++
-		s.totalWait += wait
-		if wait > s.maxWait {
-			s.maxWait = wait
-		}
-		if s.groupWait != nil {
-			s.groupWait[g] += wait
-		}
-	}
-	s.noteDepth(t, -1)
-	sl.restoreEnd = t + sl.ttr
-	s.pushEv(sl.restoreEnd, evOpRestore, int32(slot), sl.gen, 0, 0)
-	if s.suppressSlot[g] == int32(slot) && math.IsInf(s.suppressUntil[g], 1) {
-		// This rebuild ends a DDF suppression window that was left open
-		// because the rebuild had not started yet (the fleet analogue of a
-		// topology-paused rebuild resuming). An ld+op loss's defective
-		// drive is repaired together with it, at the now-known restore.
-		s.suppressUntil[g] = sl.restoreEnd
-		if p := s.pendTrunc[g]; p.slot >= 0 {
-			s.pushEv(sl.restoreEnd, evTruncateDefects, p.slot, p.gen, 0, p.at)
-			s.pendTrunc[g].slot = -1
-		}
-	}
-}
-
-// grantNext hands freed repair slots to the highest-priority waiting
-// rebuilds, skipping stale heap entries (lazy deletion).
-func (s *fleetSim) grantNext(t float64) {
-	for s.active < s.cfg.MaxConcurrentRebuilds && s.heap.Len() > 0 {
-		req := s.heap.pop()
-		sl := &s.slots[req.slot]
-		if !sl.queued || req.gen != sl.queueGen {
-			continue
-		}
-		sl.queued = false
-		sl.queueGen++
-		s.queuedCount[int(req.slot)/s.g.Drives]--
-		s.startRebuild(int(req.slot), t)
-	}
-}
-
-// requeueGroup re-keys group g's waiting rebuilds after its degradation
-// level changed: each gets a fresh heap entry at the new level (same
-// failTime and enqueue seq), and the old entry dies by gen mismatch.
-func (s *fleetSim) requeueGroup(g int) {
-	if s.queuedCount[g] == 0 {
-		return
-	}
-	base := g * s.g.Drives
-	for k := base; k < base+s.g.Drives; k++ {
-		sl := &s.slots[k]
-		if !sl.queued {
-			continue
-		}
-		sl.queueGen++
-		s.heap.push(healReq{
-			level:    s.failedCount[g],
-			failTime: sl.failTime,
-			seq:      sl.queueSeq,
-			slot:     int32(k),
-			gen:      sl.queueGen,
-		})
-	}
-}
-
-// recordDDF appends one group-tagged data-loss event.
-func (s *fleetSim) recordDDF(g int, t float64, cause Cause) {
-	s.evGroup = append(s.evGroup, int32(g))
-	s.evDDF = append(s.evDDF, DDF{Time: t, Cause: cause})
-}
-
-// resize prepares the scratch for a fleet of the given group count and
-// group size, reusing backing arrays whenever they are large enough.
-func (s *fleetSim) resize(groups, drives int) {
-	total := groups * drives
-	if cap(s.slots) < total {
-		s.slots = make([]fleetSlot, total)
-	}
-	s.slots = s.slots[:total]
-	for i := range s.slots {
-		sl := &s.slots[i]
-		sl.failed, sl.restoreEnd, sl.gen = false, 0, 0
-		sl.defects = sl.defects[:0]
-		sl.failTime, sl.ttr = 0, 0
-		sl.queueSeq, sl.queueGen, sl.queued = 0, 0, false
-	}
-	if cap(s.rngs) < groups {
-		s.rngs = make([]rng.RNG, groups)
-	}
-	s.rngs = s.rngs[:groups]
-	if cap(s.failedCount) < groups {
-		s.failedCount = make([]int32, groups)
-		s.queuedCount = make([]int32, groups)
-		s.suppressUntil = make([]float64, groups)
-		s.suppressSlot = make([]int32, groups)
-		s.degradedSince = make([]float64, groups)
-		s.pendTrunc = make([]pendingTrunc, groups)
-	}
-	s.failedCount = s.failedCount[:groups]
-	s.queuedCount = s.queuedCount[:groups]
-	s.suppressUntil = s.suppressUntil[:groups]
-	s.suppressSlot = s.suppressSlot[:groups]
-	s.degradedSince = s.degradedSince[:groups]
-	s.pendTrunc = s.pendTrunc[:groups]
-	for g := 0; g < groups; g++ {
-		s.failedCount[g], s.queuedCount[g] = 0, 0
-		s.suppressUntil[g], s.suppressSlot[g], s.degradedSince[g] = 0, -1, 0
-		s.pendTrunc[g].slot = -1
-	}
-	s.q.reset()
-	s.heap.reset()
-	s.seq, s.reqSeq, s.defects = 0, 0, 0
-	s.active, s.depth, s.maxDepth = 0, 0, 0
-	s.depthT, s.depthI = 0, 0
-	s.failures, s.rebuilds, s.waited = 0, 0, 0
-	s.totalWait, s.maxWait, s.maxExposure = 0, 0, 0
-	s.evGroup = s.evGroup[:0]
-	s.evDDF = s.evDDF[:0]
-}
-
-// SimulateFleetInto runs one chronology of the whole fleet. Group g draws
-// every sample from its own RNG stream baseStream+g of seed — the same
-// stream iteration Offset+i uses in the scalar runner — so with unlimited
-// repair slots and nil shared spares each group's chronology is
-// bit-identical to an independent EventEngine run on that stream. Shared
-// spares or a finite MaxConcurrentRebuilds couple the groups through the
-// repair server: a failure burst in one group can starve another group's
-// rebuild, stretching its exposure window.
+// SimulateFleetInto runs one chronology of the whole fleet: the
+// many-group driver of the chronology core EventEngine also drives. Group
+// g draws every sample from its own RNG stream baseStream+g of seed — the
+// same stream iteration Offset+i uses in the scalar runner — so with
+// unlimited repair slots and nil shared spares each group's chronology is
+// bit-identical to an independent EventEngine run on that stream, and a
+// one-group fleet with shared spares to an EventEngine run with the same
+// policy as cfg.Spares. Shared spares or a finite MaxConcurrentRebuilds
+// couple the groups through the repair server: a failure burst in one
+// group can starve another group's rebuild, stretching its exposure
+// window.
 //
 // visit is called once per event-bearing group, in ascending group order,
 // with that group's DDFs in chronological order. The slice is scratch
@@ -540,271 +260,95 @@ func SimulateFleetInto(cfg FleetConfig, seed, baseStream uint64, visit func(grou
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	s := fleetSimPool.Get().(*fleetSim)
-	s.cfg, s.g = cfg, cfg.Group
-	s.kern.compile(&s.g)
-	s.resize(cfg.Groups, s.g.Drives)
-	s.spares.reset(cfg.SharedSpares)
-	if st != nil && len(st.GroupWaitHours) == cfg.Groups {
-		s.groupWait = st.GroupWaitHours
-		for g := range s.groupWait {
-			s.groupWait[g] = 0
-		}
+	c := chronPool.Get().(*chronology)
+	c.reset(&cfg.Group, cfg.Groups, cfg.SharedSpares, cfg.MaxConcurrentRebuilds)
+	c.fleet, c.ddfs = true, c.fleetDDFs[:0]
+	if cap(c.rngs) < cfg.Groups {
+		c.rngs = make([]rng.RNG, cfg.Groups)
 	}
-	s.run(seed, baseStream)
+	c.rngs = c.rngs[:cfg.Groups]
+	for g := range c.rngs {
+		c.rngs[g].SeedStream(seed, baseStream+uint64(g))
+	}
+	if st != nil && len(st.GroupWaitHours) == cfg.Groups {
+		c.groupWait = st.GroupWaitHours
+		clear(c.groupWait)
+	}
+	c.run()
+	c.fleetDDFs = c.ddfs
 	if st != nil {
-		gw := st.GroupWaitHours
+		// Close the open accounting windows at mission end.
+		mission := cfg.Group.Mission
+		c.noteDepth(mission, 0)
+		for g, n := range c.failedCount {
+			if dur := mission - c.degradedSince[g]; n > 0 && dur > c.maxExposure {
+				c.maxExposure = dur
+			}
+		}
 		*st = FleetStats{
-			Failures:         s.failures,
-			Rebuilds:         s.rebuilds,
-			ActiveAtEnd:      s.active,
-			QueuedAtEnd:      s.depth,
-			Waited:           s.waited,
-			TotalWaitHours:   s.totalWait,
-			MaxWaitHours:     s.maxWait,
-			MaxQueueDepth:    s.maxDepth,
-			MeanQueueDepth:   s.depthI / s.g.Mission,
-			MaxExposureHours: s.maxExposure,
-			GroupWaitHours:   gw,
+			Failures:         c.failures,
+			Rebuilds:         c.rebuilds,
+			ActiveAtEnd:      c.active,
+			QueuedAtEnd:      c.depth,
+			Waited:           c.waited,
+			TotalWaitHours:   c.totalWait,
+			MaxWaitHours:     c.maxWait,
+			MaxQueueDepth:    c.maxDepth,
+			MeanQueueDepth:   c.depthI / mission,
+			MaxExposureHours: c.maxExposure,
+			GroupWaitHours:   st.GroupWaitHours,
 		}
 	}
 	if visit != nil {
-		s.visitEvents(visit)
+		c.visitEvents(visit)
 	}
-	s.release()
-	fleetSimPool.Put(s)
+	c.release()
+	chronPool.Put(c)
 	return nil
-}
-
-// run executes the event loop. The per-event semantics mirror
-// eventSim.run exactly (lazy defect liveness, phantom scrub seqs, DDF
-// suppression windows); the differences are per-group RNG streams and the
-// repair server between a failure and its restore.
-func (s *fleetSim) run(seed, baseStream uint64) {
-	g := &s.g
-	drives := g.Drives
-	for grp := 0; grp < s.cfg.Groups; grp++ {
-		r := &s.rngs[grp]
-		r.SeedStream(seed, baseStream+uint64(grp))
-		base := grp * drives
-		for j := 0; j < drives; j++ {
-			s.scheduleOpFail(base+j, 0, r)
-			s.scheduleDefect(base+j, 0, r)
-		}
-	}
-
-	for s.q.Len() > 0 {
-		ev := s.q.pop()
-		if ev.time > g.Mission {
-			break
-		}
-		evSlot := int(ev.slot)
-		sl := &s.slots[evSlot]
-		grp := evSlot / drives
-		r := &s.rngs[grp]
-		switch ev.kind {
-		case evOpFail:
-			if ev.gen != sl.gen {
-				continue
-			}
-			// DDF determination happens at the instant of the failure,
-			// before this slot's state changes — the event engine's scan,
-			// restricted to the group.
-			failedOthers, defectSlot := 0, -1
-			defectStart := math.Inf(1)
-			base := grp * drives
-			for k := base; k < base+drives; k++ {
-				if k == evSlot {
-					continue
-				}
-				o := &s.slots[k]
-				switch {
-				case o.failed:
-					failedOthers++
-				case len(o.defects) > 0:
-					for i := range o.defects {
-						d := &o.defects[i]
-						if d.start < defectStart && defectLive(d, ev.time, ev.seq) {
-							defectStart = d.start
-							defectSlot = k
-						}
-					}
-				}
-			}
-			sl.failed = true
-			sl.gen++
-			sl.defects = sl.defects[:0]
-			sl.failTime = ev.time
-			s.failures++
-			s.noteDepth(ev.time, +1)
-			s.failedCount[grp]++
-			if s.failedCount[grp] == 1 {
-				s.degradedSince[grp] = ev.time
-			}
-			// The group got more degraded: promote its waiting rebuilds.
-			s.requeueGroup(grp)
-			// Draw order matches the event engine: spare availability
-			// first (no draw), then the TTR, then the replacement's defect
-			// process — so contention never shifts a group's stream.
-			rebuildFrom := s.spares.rebuildStart(ev.time)
-			sl.ttr = s.kern.ttr.Draw(r)
-			sl.restoreEnd = math.Inf(1)
-			if rebuildFrom > ev.time {
-				s.pushEv(rebuildFrom, evFleetSpare, ev.slot, sl.gen, 0, 0)
-			} else {
-				s.admit(evSlot, ev.time)
-			}
-			s.scheduleDefect(evSlot, ev.time, r)
-
-			if ev.time >= s.suppressUntil[grp] {
-				switch {
-				case failedOthers >= g.Redundancy:
-					s.recordDDF(grp, ev.time, CauseOpOp)
-					s.suppressUntil[grp] = sl.restoreEnd
-					s.suppressSlot[grp] = ev.slot
-				case failedOthers == g.Redundancy-1 && defectSlot >= 0:
-					s.recordDDF(grp, ev.time, CauseLdOp)
-					s.suppressUntil[grp] = sl.restoreEnd
-					s.suppressSlot[grp] = ev.slot
-					// The defective drive is repaired together with the
-					// failed one. If this rebuild is still waiting for a
-					// spare or repair slot, restoreEnd is +Inf: the repair
-					// is held until startRebuild knows the restore time, with
-					// the defective slot's generation taken now.
-					trunc := pendingTrunc{slot: int32(defectSlot), gen: s.slots[defectSlot].gen, at: ev.time}
-					if math.IsInf(sl.restoreEnd, 1) {
-						s.pendTrunc[grp] = trunc
-					} else {
-						s.pushEv(sl.restoreEnd, evTruncateDefects, trunc.slot, trunc.gen, 0, trunc.at)
-					}
-				}
-			}
-
-		case evOpRestore:
-			if ev.gen != sl.gen {
-				continue
-			}
-			sl.failed = false
-			s.rebuilds++
-			s.failedCount[grp]--
-			if s.failedCount[grp] == 0 {
-				if dur := ev.time - s.degradedSince[grp]; dur > s.maxExposure {
-					s.maxExposure = dur
-				}
-			}
-			s.scheduleOpFail(evSlot, ev.time, r)
-			s.active--
-			if s.limited() {
-				// The group got less degraded: re-key its waiting rebuilds
-				// before handing out the freed slot.
-				s.requeueGroup(grp)
-				s.grantNext(ev.time)
-			}
-
-		case evFleetSpare:
-			if ev.gen != sl.gen {
-				continue
-			}
-			s.admit(evSlot, ev.time)
-
-		case evDefectArrive:
-			if ev.gen != sl.gen {
-				continue
-			}
-			s.defects++
-			end, clearSeq := math.Inf(1), int64(math.MaxInt64)
-			if g.Trans.TTScrub != nil {
-				end = ev.time + s.kern.scrub.Draw(r)
-				if end <= g.Mission {
-					// Phantom correction, as in the untraced event engine:
-					// consume the seq the queued clear event would have
-					// held, so tie-break ranks match bit for bit.
-					s.seq++
-					clearSeq = s.seq
-				}
-			}
-			// Compact defects that can never be live again (ended at or
-			// before now): every future event has time >= ev.time and seq
-			// beyond any already-assigned clearSeq, so defectLive is false
-			// for them forever. Keeps per-slot lists short over a long
-			// mission without perturbing any DDF decision.
-			kept := sl.defects[:0]
-			for i := range sl.defects {
-				if sl.defects[i].end > ev.time {
-					kept = append(kept, sl.defects[i])
-				}
-			}
-			sl.defects = kept
-			sl.defects = append(sl.defects, defectRec{id: s.defects, start: ev.time, end: end, clearSeq: clearSeq})
-			s.scheduleDefect(evSlot, ev.time, r)
-
-		case evTruncateDefects:
-			if ev.gen != sl.gen {
-				continue
-			}
-			kept := sl.defects[:0]
-			for _, d := range sl.defects {
-				if d.start > ev.arg {
-					kept = append(kept, d)
-				}
-			}
-			sl.defects = kept
-		}
-	}
-
-	// Close the open accounting windows at mission end.
-	s.noteDepth(g.Mission, 0)
-	for grp := 0; grp < s.cfg.Groups; grp++ {
-		if s.failedCount[grp] > 0 {
-			if dur := g.Mission - s.degradedSince[grp]; dur > s.maxExposure {
-				s.maxExposure = dur
-			}
-		}
-	}
 }
 
 // visitEvents delivers the recorded DDFs group by group, ascending, each
 // group's events in chronological order. The per-group slices alias the
 // reused visit buffer.
-func (s *fleetSim) visitEvents(visit func(group int, ddfs []DDF)) {
-	n := len(s.evGroup)
+func (c *chronology) visitEvents(visit func(group int, ddfs []DDF)) {
+	n := len(c.evGroup)
 	if n == 0 {
 		return
 	}
-	idx := s.evIdx[:0]
+	idx := c.evIdx[:0]
 	for i := 0; i < n; i++ {
 		idx = append(idx, int32(i))
 	}
-	s.evIdx = idx
+	c.evIdx = idx
 	if n <= 32 {
 		// Stable insertion sort by group; events were appended in time
 		// order, so within-group order survives.
 		for i := 1; i < n; i++ {
 			v := idx[i]
-			gv := s.evGroup[v]
+			gv := c.evGroup[v]
 			j := i - 1
-			for ; j >= 0 && s.evGroup[idx[j]] > gv; j-- {
+			for ; j >= 0 && c.evGroup[idx[j]] > gv; j-- {
 				idx[j+1] = idx[j]
 			}
 			idx[j+1] = v
 		}
 	} else {
-		s.evSort.groups, s.evSort.idx = s.evGroup, idx
-		sort.Sort(&s.evSort)
-		s.evSort.groups, s.evSort.idx = nil, nil
+		c.evSort.groups, c.evSort.idx = c.evGroup, idx
+		sort.Sort(&c.evSort)
+		c.evSort.groups, c.evSort.idx = nil, nil
 	}
-	buf := s.visitBuf[:0]
+	buf := c.visitBuf[:0]
 	for i := 0; i < n; {
-		grp := s.evGroup[idx[i]]
+		grp := c.evGroup[idx[i]]
 		buf = buf[:0]
 		j := i
-		for ; j < n && s.evGroup[idx[j]] == grp; j++ {
-			buf = append(buf, s.evDDF[idx[j]])
+		for ; j < n && c.evGroup[idx[j]] == grp; j++ {
+			buf = append(buf, c.ddfs[idx[j]])
 		}
 		visit(int(grp), buf)
 		i = j
 	}
-	s.visitBuf = buf[:0]
+	c.visitBuf = buf[:0]
 }
 
 // SimulateFleet runs one fleet chronology and materializes every group's

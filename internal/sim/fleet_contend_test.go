@@ -15,7 +15,8 @@ import (
 // double-count a replacement. Pinned because the head-index bookkeeping
 // is easy to get off by one.
 func TestSparePoolSimultaneousFailures(t *testing.T) {
-	pool := newSparePool(&SparePolicy{Initial: 1, ReplenishHours: 100})
+	var pool sparePool
+	pool.reset(&SparePolicy{Initial: 1, ReplenishHours: 100})
 	// Three failures at the same instant t=10. The first takes the stocked
 	// spare; the second and third wait for their own orders — which both
 	// arrive at 110, so both rebuilds start then (not one at 110 and one
@@ -44,7 +45,8 @@ func TestSparePoolSimultaneousFailures(t *testing.T) {
 // The head-index ring must rewind once drained so pooled reuse keeps the
 // backing array.
 func TestSparePoolHeadRewind(t *testing.T) {
-	pool := newSparePool(&SparePolicy{Initial: 0, ReplenishHours: 10})
+	var pool sparePool
+	pool.reset(&SparePolicy{Initial: 0, ReplenishHours: 10})
 	for i := 0; i < 100; i++ {
 		tFail := float64(i * 1000)
 		if got := pool.rebuildStart(tFail); got != tFail+10 {

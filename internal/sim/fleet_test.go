@@ -65,40 +65,46 @@ func simulateFleetSeeded(t *testing.T, fc FleetConfig, seed, base uint64) ([]Gro
 // With unlimited repair slots and nil shared spares, every fleet group is
 // bit-identical to an independent EventEngine run on the same RNG stream:
 // the fleet engine's per-group streams and global-seq tie-breaks reproduce
-// the single-group chronologies exactly. This is the cross-validation
-// property test of the fleet engine's DDF semantics (its drifted
-// predecessors disagreed with the engine on defect bookkeeping).
+// the single-group chronologies exactly. A one-group fleet with a finite
+// shared pool is likewise bit-identical to EventEngine with the same
+// policy as its Spares: the event engine is the one-group fleet. This is
+// the cross-validation property test of the two drivers of the chronology
+// core (their drifted predecessors disagreed on defect bookkeeping).
 func TestFleetMatchesEngineBitIdentical(t *testing.T) {
-	cfgs := map[string]Config{
-		"NoDefects": fastConfig(),
-	}
 	withDefects := fastConfig()
 	withDefects.Trans.TTLd = dist.MustExponential(5e-4)
 	withDefects.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
-	cfgs["Scrubbed"] = withDefects
 	noScrub := fastConfig()
 	noScrub.Trans.TTLd = dist.MustExponential(5e-4)
-	cfgs["NoScrub"] = noScrub
 	raid6 := fastConfig()
 	raid6.Redundancy = 2
 	raid6.Trans.TTLd = dist.MustExponential(8e-4)
 	raid6.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
-	cfgs["Raid6"] = raid6
 
-	const (
-		seed       = 700
-		groups     = 16
-		chronStart = 0
-		chrons     = 40
-	)
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
+	cases := []struct {
+		name           string
+		cfg            Config
+		groups, chrons int
+		spares         *SparePolicy
+	}{
+		{"NoDefects", fastConfig(), 16, 40, nil},
+		{"Scrubbed", withDefects, 16, 40, nil},
+		{"NoScrub", noScrub, 16, 40, nil},
+		{"Raid6", raid6, 16, 40, nil},
+		{"OneGroupSpares0x48", withDefects, 1, 400, &SparePolicy{Initial: 0, ReplenishHours: 48}},
+		{"OneGroupSpares1x200", withDefects, 1, 400, &SparePolicy{Initial: 1, ReplenishHours: 200}},
+	}
+	const seed = 700
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			engCfg := tc.cfg
+			engCfg.Spares = tc.spares
 			mismatches, events := 0, 0
-			for c := chronStart; c < chrons; c++ {
-				base := uint64(c * groups)
-				fleet, _ := simulateFleetSeeded(t, FleetConfig{Groups: groups, Group: cfg}, seed, base)
-				for g := 0; g < groups; g++ {
-					single, err := simulate(EventEngine{}, cfg, rng.ForStream(seed, base+uint64(g)))
+			for c := 0; c < tc.chrons; c++ {
+				base := uint64(c * tc.groups)
+				fleet, _ := simulateFleetSeeded(t, FleetConfig{Groups: tc.groups, Group: tc.cfg, SharedSpares: tc.spares}, seed, base)
+				for g := 0; g < tc.groups; g++ {
+					single, err := simulate(EventEngine{}, engCfg, rng.ForStream(seed, base+uint64(g)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -121,7 +127,7 @@ func TestFleetMatchesEngineBitIdentical(t *testing.T) {
 				}
 			}
 			if events == 0 {
-				t.Fatalf("no DDFs in %d groups; bit-identity test is vacuous", chrons*groups)
+				t.Fatalf("no DDFs in %d groups; bit-identity test is vacuous", tc.chrons*tc.groups)
 			}
 		})
 	}

@@ -220,3 +220,35 @@ func TestScriptedConcomitantRepairClearsDefect(t *testing.T) {
 		t.Fatalf("DDFs = %v, want only {100 ld+op}: the concomitant repair must clear the defect", ddfs)
 	}
 }
+
+// Scenario 8: the concomitant repair survives a topology-held rebuild.
+// Scenario 7's script, with slot 0 behind a shelf that fails at 90 and
+// is repaired at 130: slot 0 fails at 100 while inaccessible (LdOp DDF on
+// slot 1's defect), so its rebuild is held until 130 and restores at 150.
+// The defect must clear at that restore, so slot 0's next failure at
+// 150+30=180 is not a second DDF, although the defect's natural scrub
+// (60+500=560) is still far away.
+func TestScriptedConcomitantRepairAfterTopologyPause(t *testing.T) {
+	cfg := Config{
+		Drives:     2,
+		Redundancy: 1,
+		Mission:    1000,
+		Trans: Transitions{
+			TTOp:    newScripted(100, 5000, 30, 5000, 5000),
+			TTR:     newScripted(20, 20),
+			TTLd:    newScripted(400, 60, 5000, 5000, 5000, 5000),
+			TTScrub: newScripted(500, 500, 500),
+		},
+		Topology: &Topology{Components: []Component{{
+			Name: "shelf0", Drives: []int{0},
+			TTOp: newScripted(90, 5000), TTR: newScripted(40, 40),
+		}}},
+	}
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ddfs) != 1 || ddfs[0].Time != 100 || ddfs[0].Cause != CauseLdOp {
+		t.Fatalf("DDFs = %v, want only {100 ld+op}: the concomitant repair must clear the defect at the resumed restore", ddfs)
+	}
+}

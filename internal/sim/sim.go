@@ -14,20 +14,24 @@
 //   - a DDF involving a defective drive clears that defect at the same
 //     restore time as the concomitant operational failure.
 //
-// Four engines implement these semantics:
+// Three simulators implement these semantics:
 //
-//   - EventEngine, the discrete-event reference: the only single-group
-//     engine that models finite spare pools and coupled component
-//     topologies, and the one SimulateTraced streams Fig.-5 timing
-//     diagrams from;
+//   - one discrete-event chronology core with two drivers. EventEngine
+//     (and SimulateTraced, which streams Fig.-5 timing diagrams from it)
+//     is the one-group driver: the only single-group engine that models
+//     finite spare pools and coupled component topologies. The fleet
+//     engine (SimulateFleetInto, RunSpec.Fleet) is the many-group driver,
+//     coupling groups through a shared spare pool and a bounded repair
+//     server. In both, a rebuild that has not started when its DDF occurs
+//     — waiting for a spare, a repair slot or component access — carries
+//     the DDF's suppression window and concomitant defect repair to the
+//     instant it does start;
 //   - IntervalEngine, a per-slot interval sweep patterned on the paper's
 //     Fig. 5 timing diagram — the scalar oracle the block engine must
 //     match bit for bit;
 //   - BlockEngine, the batched structure-of-arrays form of the interval
 //     sweep: the default wherever it can run a configuration, and the only
-//     engine implementing variance reduction (VR);
-//   - the fleet engine (SimulateFleetInto, RunSpec.Fleet), which couples
-//     many groups through a shared spare pool and a bounded repair server.
+//     engine implementing variance reduction (VR).
 //
 // RunCollect drives any of them through one ordered dispatch loop.
 package sim

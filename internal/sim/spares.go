@@ -47,15 +47,6 @@ type sparePool struct {
 	head   int       // orders[:head] have been consumed
 }
 
-// newSparePool returns engine state, or nil for the infinite-spares
-// default.
-func newSparePool(p *SparePolicy) *sparePool {
-	if p == nil {
-		return nil
-	}
-	return &sparePool{policy: p, stock: p.Initial}
-}
-
 // reset re-arms the pool for a new chronology under policy p (which may be
 // nil: every rebuildStart then returns its argument), keeping the orders
 // backing array.
@@ -72,7 +63,7 @@ func (s *sparePool) reset(p *SparePolicy) {
 // rebuildStart registers a failure at time t and returns when its rebuild
 // can begin.
 func (s *sparePool) rebuildStart(t float64) float64 {
-	if s == nil || s.policy == nil {
+	if s.policy == nil {
 		return t
 	}
 	// Materialize orders that have arrived by now.

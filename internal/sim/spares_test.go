@@ -29,7 +29,8 @@ func TestSparePolicyValidate(t *testing.T) {
 
 // Unit-level pool semantics.
 func TestSparePoolMechanics(t *testing.T) {
-	pool := newSparePool(&SparePolicy{Initial: 1, ReplenishHours: 100})
+	var pool sparePool
+	pool.reset(&SparePolicy{Initial: 1, ReplenishHours: 100})
 	// First failure: stock available, rebuild starts immediately; an order
 	// is placed for t=110.
 	if got := pool.rebuildStart(10); got != 10 {
@@ -44,8 +45,8 @@ func TestSparePoolMechanics(t *testing.T) {
 	if got := pool.rebuildStart(300); got != 300 {
 		t.Fatalf("start = %v, want 300", got)
 	}
-	// Nil pool never delays.
-	var unlimited *sparePool
+	// A pool without a policy never delays.
+	var unlimited sparePool
 	if got := unlimited.rebuildStart(42); got != 42 {
 		t.Fatalf("nil pool start = %v", got)
 	}

@@ -153,10 +153,6 @@ type topoScratch struct {
 	// failure or inaccessibility); onset events are recorded only on the
 	// available→unavailable transition.
 	unavailable bool
-	// suppressSlot is the slot whose pending restore ends the current DDF
-	// suppression window, or -1. It is only needed under coupling, where a
-	// pause can move that restore after the suppression time was recorded.
-	suppressSlot int
 }
 
 // attach compiles cfg's topology into the scratch. Flat configurations
@@ -206,7 +202,6 @@ func (tp *topoScratch) attach(cfg *Config) {
 		tp.inacc[s], tp.paused[s], tp.pending[s], tp.restoreID[s] = 0, false, 0, 0
 	}
 	tp.unavailable = false
-	tp.suppressSlot = -1
 }
 
 // release drops distribution references (pooled scratch must not pin a
