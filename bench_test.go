@@ -200,25 +200,6 @@ func BenchmarkEngineTimelineFlatTopoInto(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSequentialInto measures the Fig. 5 interval engine's
-// scratch-reusing append path on the same configuration.
-func BenchmarkEngineSequentialInto(b *testing.B) {
-	cfg := baseSimConfig()
-	engine := sim.IntervalEngine{}
-	var (
-		r   rng.RNG
-		buf []sim.DDF
-		err error
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.SeedStream(1, uint64(i))
-		if buf, _, err = engine.SimulateInto(cfg, &r, buf[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchRunBlock drives the batched block path the way the runner does in
 // production — one worker, whole blocks per scratch acquisition — so ns/op
 // is the amortized per-iteration cost the Monte Carlo campaign actually
@@ -239,14 +220,13 @@ func benchRunBlock(b *testing.B, cfg sim.Config) {
 }
 
 // BenchmarkEngineBlockInto measures the batched structure-of-arrays engine
-// on the base case — the tentpole comparison against
-// BenchmarkEngineSequentialInto's scalar interval chronology.
+// on the base case, against BenchmarkEngineTimelineInto's event engine.
 func BenchmarkEngineBlockInto(b *testing.B) {
 	benchRunBlock(b, baseSimConfig())
 }
 
 // BenchmarkEngineBlockBiasedInto measures the block engine under the θ = 8
-// importance-sampling tilt, against BenchmarkEngineSequentialBiasedInto.
+// importance-sampling tilt, against BenchmarkEngineTimelineBiasedInto.
 func BenchmarkEngineBlockBiasedInto(b *testing.B) {
 	cfg := baseSimConfig()
 	cfg.Bias.Op = 8
@@ -303,25 +283,6 @@ func biasedSimConfig() sim.Config {
 func BenchmarkEngineTimelineBiasedInto(b *testing.B) {
 	cfg := biasedSimConfig()
 	engine := sim.EventEngine{}
-	var (
-		r   rng.RNG
-		buf []sim.DDF
-		err error
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.SeedStream(1, uint64(i))
-		if buf, _, err = engine.SimulateInto(cfg, &r, buf[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineSequentialBiasedInto measures the interval engine under
-// the same θ = 8 tilt.
-func BenchmarkEngineSequentialBiasedInto(b *testing.B) {
-	cfg := biasedSimConfig()
-	engine := sim.IntervalEngine{}
 	var (
 		r   rng.RNG
 		buf []sim.DDF

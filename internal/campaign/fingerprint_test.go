@@ -62,7 +62,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 
 	engine := base
-	engine.Engine = sim.IntervalEngine{}
+	engine.Engine = sim.EventEngine{} // base resolves to the block engine
 	if engine.Fingerprint() == fp {
 		t.Error("engine change did not change the fingerprint")
 	}

@@ -194,7 +194,7 @@ func TestVRSpecAlignment(t *testing.T) {
 
 	wrongEngine := vrSpec()
 	wrongEngine.MaxIterations = 128
-	wrongEngine.Engine = sim.IntervalEngine{}
+	wrongEngine.Engine = sim.EventEngine{}
 	if err := wrongEngine.Validate(); err == nil {
 		t.Error("VR with a non-block engine accepted")
 	}

@@ -151,7 +151,7 @@ func TestBiasedEstimatorAgreesWithPlain(t *testing.T) {
 		engine Engine
 	}{
 		{"event engine", EventEngine{}},
-		{"interval engine", IntervalEngine{}},
+		{"block engine", BlockEngine{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := RunSparse(RunSpec{Config: biased, Iterations: n / 3, Seed: 9, Engine: tc.engine})

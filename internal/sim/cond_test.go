@@ -120,7 +120,7 @@ func TestCondVariateUnbiasedTilted(t *testing.T) {
 // TestCondVariatePreservesEventStream pins the variate's zero-interference
 // guarantee: with only CondVariate on (no antithetic pairing, no
 // stratification) the stream mapping is untouched, so the observed event
-// stream must be bit-identical to the plain interval-engine run — the
+// stream must be bit-identical to the plain block-engine run — the
 // variate reads the drawn chronology, never redraws it.
 func TestCondVariatePreservesEventStream(t *testing.T) {
 	const iters = 4096
@@ -129,13 +129,13 @@ func TestCondVariatePreservesEventStream(t *testing.T) {
 		ref := &SparseResult{}
 		if err := RunCollect(RunSpec{
 			Config: cfg, Iterations: iters, Seed: seed, Workers: 3,
-			Engine: IntervalEngine{},
+			Engine: BlockEngine{},
 		}, ref); err != nil {
 			t.Fatal(err)
 		}
 		got := condRun(t, cfg, iters, seed)
 		if !reflect.DeepEqual(got.Events, ref.Events) {
-			t.Fatalf("seed %d: cond-variate block events differ from interval engine's", seed)
+			t.Fatalf("seed %d: cond-variate block events differ from the plain run's", seed)
 		}
 	}
 }

@@ -70,8 +70,8 @@ func rareBiasConfig(theta float64) Config {
 	}
 }
 
-// TestBlockEngineCensorCutVRIdentity covers the draws the interval engine
-// cannot replay: under antithetic pairing and a stratified first draw,
+// TestBlockEngineCensorCutVRIdentity covers the draws the plain direct
+// path never takes: under antithetic pairing and a stratified first draw,
 // every iteration of the θ=8 rare-event configuration must give the same
 // DDFs, log weight and control observation with the uniform-domain censor
 // cut armed as with every draw taking the full log path.
@@ -157,61 +157,17 @@ func TestDrawTTOpCensorCutBoundary(t *testing.T) {
 	}
 }
 
-// TestBlockEngineBitIdentity is the block engine's core contract: on the
-// same RNG stream it must reproduce the interval engine's output exactly —
-// every DDF time and cause and the log weight, bit for bit — across a seed
-// grid, for both plain and θ-tilted sampling. This is what lets campaigns
-// switch engines (or resume a scalar checkpoint under the block engine)
-// without perturbing a single result.
-func TestBlockEngineBitIdentity(t *testing.T) {
-	for name, cfg := range blockIdentityConfigs() {
-		t.Run(name, func(t *testing.T) {
-			var ra, rb rng.RNG
-			var bufA, bufB []DDF
-			events := 0
-			for stream := uint64(0); stream < 2000; stream++ {
-				ra.SeedStream(42, stream)
-				rb.SeedStream(42, stream)
-				var lwA, lwB float64
-				var err error
-				bufA, lwA, err = IntervalEngine{}.SimulateInto(cfg, &ra, bufA[:0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				bufB, lwB, err = BlockEngine{}.SimulateInto(cfg, &rb, bufB[:0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(bufA) != len(bufB) {
-					t.Fatalf("stream %d: interval %d events, block %d events", stream, len(bufA), len(bufB))
-				}
-				for i := range bufA {
-					if math.Float64bits(bufA[i].Time) != math.Float64bits(bufB[i].Time) || bufA[i].Cause != bufB[i].Cause {
-						t.Fatalf("stream %d event %d: interval %+v, block %+v", stream, i, bufA[i], bufB[i])
-					}
-				}
-				if math.Float64bits(lwA) != math.Float64bits(lwB) {
-					t.Fatalf("stream %d: interval logW %v, block logW %v", stream, lwA, lwB)
-				}
-				events += len(bufA)
-			}
-			// Biased runs carry a nonzero log weight on every stream, so
-			// they test the weight bookkeeping even without events.
-			if events == 0 && !cfg.Bias.Enabled() && name != "paper base case" && name != "mixed vintage" {
-				t.Errorf("no events in 2000 streams; identity test is vacuous")
-			}
-		})
-	}
-}
-
 // TestBlockRunnerMatchesScalar: the runner's block-engine step must
-// observe exactly the interval engine's stream — same groups, same events,
-// same weights — at any unit size (VR.BlockSize without VR sets only the
-// unit size; 7 leaves a clipped last unit).
+// observe exactly the stream of its scalar step over the same engine (one
+// BlockEngine.SimulateInto per iteration, reached by hiding the engine's
+// type behind a wrapper) — same groups, same events, same weights — at any
+// unit size (VR.BlockSize without VR sets only the unit size; 7 leaves a
+// clipped last unit).
 func TestBlockRunnerMatchesScalar(t *testing.T) {
+	scalar := struct{ Engine }{BlockEngine{}}
 	for name, cfg := range blockIdentityConfigs() {
 		t.Run(name, func(t *testing.T) {
-			want, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 99, Engine: IntervalEngine{}, Workers: 2})
+			want, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 99, Engine: scalar, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +179,7 @@ func TestBlockRunnerMatchesScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got.Groups != want.Groups || !reflect.DeepEqual(got.Events, want.Events) {
-					t.Fatalf("BlockSize:%d: block-engine events differ from the interval engine's", block)
+					t.Fatalf("BlockSize:%d: block step's events differ from the scalar step's", block)
 				}
 				if got.VR != nil {
 					t.Fatal("VR tallies attached to a VR-disabled run")
@@ -254,8 +210,8 @@ func TestBlockEngineRejections(t *testing.T) {
 
 	vrScalar := fastConfig()
 	vrScalar.VR.Antithetic = true
-	if _, err := RunSparse(RunSpec{Config: vrScalar, Iterations: 10, Seed: 1, Engine: IntervalEngine{}}); err == nil {
-		t.Error("VR run through a scalar engine accepted")
+	if _, err := RunSparse(RunSpec{Config: vrScalar, Iterations: 10, Seed: 1, Engine: EventEngine{}}); err == nil {
+		t.Error("VR run through the event engine accepted")
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 // with the same descriptive errors. The last column is what a nil engine
 // resolves to (DefaultEngine):
 //
-//	feature              event  interval  block  nil
-//	finite spares          ✓       –        –    event
-//	coupled topology       ✓       –        –    event
-//	variance reduction     –       –        ✓    block
-//	uncompiled dists       ✓       ✓        –    event
+//	feature              event  block  nil
+//	finite spares          ✓      –    event
+//	coupled topology       ✓      –    event
+//	variance reduction     –      ✓    block
+//	uncompiled dists       ✓      –    event
 //
-// The per-slot engines precompute each slot's chronology independently, so
+// The block engine precomputes each slot's chronology independently, so
 // anything that couples the slots — a shared spare pool, a shared
 // component — is event-engine-only; the variance-reduction schemes are
 // defined over block-mean tallies only the block engine produces; and the
@@ -68,23 +68,10 @@ func uncompiled(cfg *Config) string {
 	return ""
 }
 
-// engineName returns the human name used in gating errors.
-func engineName(e Engine) string {
-	switch e.(type) {
-	case EventEngine:
-		return "event"
-	case IntervalEngine:
-		return "interval"
-	case BlockEngine:
-		return "block"
-	default:
-		return fmt.Sprintf("%T", e)
-	}
-}
-
-// errUnsupported formats the uniform per-slot-engine rejection.
-func errUnsupported(engine, feature string) error {
-	return fmt.Errorf("sim: the %s engine cannot model %s (slots are precomputed independently); use EventEngine", engine, feature)
+// errUnsupported formats the uniform block-engine rejection of a feature
+// that couples the slots.
+func errUnsupported(feature string) error {
+	return fmt.Errorf("sim: the block engine cannot model %s (slots are precomputed independently); use EventEngine", feature)
 }
 
 // errVRNeedsBlock is the uniform rejection of VR off the block engine.
@@ -101,24 +88,14 @@ func EngineSupports(engine Engine, cfg Config) error {
 	if engine == nil {
 		engine = DefaultEngine(cfg)
 	}
-	name := engineName(engine)
-	perSlot := false
-	switch engine.(type) {
-	case IntervalEngine, BlockEngine:
-		perSlot = true
-	}
-	if perSlot {
-		if cfg.Spares != nil {
-			return errUnsupported(name, "a finite spare pool")
-		}
-		if cfg.Topology.Coupled() {
-			return errUnsupported(name, "a coupled component topology")
-		}
-	}
-	if cfg.VR.Enabled() {
-		if _, ok := engine.(BlockEngine); !ok {
-			return errVRNeedsBlock()
-		}
+	_, block := engine.(BlockEngine)
+	switch {
+	case block && cfg.Spares != nil:
+		return errUnsupported("a finite spare pool")
+	case block && cfg.Topology.Coupled():
+		return errUnsupported("a coupled component topology")
+	case !block && cfg.VR.Enabled():
+		return errVRNeedsBlock()
 	}
 	return nil
 }

@@ -37,21 +37,17 @@ func TestEngineFeatureMatrix(t *testing.T) {
 	}{
 		{"default", nil}, // nil resolves through DefaultEngine
 		{"event-explicit", EventEngine{}},
-		{"interval", IntervalEngine{}},
 		{"block", BlockEngine{}},
 	}
 	// want[feature][engine] is the required error substring; "" means the
 	// combination must be accepted.
 	want := map[string]map[string]string{
-		"plain":    {"default": "", "event-explicit": "", "interval": "", "block": ""},
-		"bias":     {"default": "", "event-explicit": "", "interval": "", "block": ""},
-		"spares":   {"default": "", "event-explicit": "", "interval": "finite spare pool", "block": "finite spare pool"},
-		"topology": {"default": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
-		"vr": {
-			"default": "", "event-explicit": "variance reduction requires the block engine",
-			"interval": "variance reduction requires the block engine", "block": "",
-		},
-		"bias+topology": {"default": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
+		"plain":         {"default": "", "event-explicit": "", "block": ""},
+		"bias":          {"default": "", "event-explicit": "", "block": ""},
+		"spares":        {"default": "", "event-explicit": "", "block": "finite spare pool"},
+		"topology":      {"default": "", "event-explicit": "", "block": "coupled component topology"},
+		"vr":            {"default": "", "event-explicit": "variance reduction requires the block engine", "block": ""},
+		"bias+topology": {"default": "", "event-explicit": "", "block": "coupled component topology"},
 	}
 
 	for _, f := range features {
@@ -83,9 +79,7 @@ func TestEngineFeatureMatrix(t *testing.T) {
 			if f.name == "vr" {
 				continue
 			}
-			switch e.e.(type) {
-			case IntervalEngine, BlockEngine:
-			default:
+			if _, ok := e.e.(BlockEngine); !ok {
 				continue
 			}
 			_, _, err := e.e.SimulateInto(cfg, rng.New(7), nil)

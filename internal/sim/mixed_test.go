@@ -111,7 +111,7 @@ func TestMixedVintageEnginesAgree(t *testing.T) {
 		return total
 	}
 	a := count(EventEngine{}, 90)
-	b := count(IntervalEngine{}, 91)
+	b := count(BlockEngine{}, 91)
 	if a == 0 || b == 0 {
 		t.Fatal("no DDFs; config too mild")
 	}

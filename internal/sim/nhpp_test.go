@@ -126,7 +126,7 @@ func TestNHPPEnginesAgree(t *testing.T) {
 		return total
 	}
 	a := count(EventEngine{}, 720)
-	b := count(IntervalEngine{}, 721)
+	b := count(BlockEngine{}, 721)
 	if a == 0 || b == 0 {
 		t.Fatal("no DDFs; config too mild")
 	}

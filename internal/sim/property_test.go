@@ -44,7 +44,7 @@ func propertyConfig(drives uint8, opMean, ttrMean, ldMean, scrubMean float64, sc
 func TestPropertyEngineInvariants(t *testing.T) {
 	check := func(drives uint8, opMean, ttrMean, ldMean, scrubMean float64, scrubOn bool, seed uint64) bool {
 		cfg := propertyConfig(drives, opMean, ttrMean, ldMean, scrubMean, scrubOn)
-		for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
+		for _, engine := range []Engine{EventEngine{}, BlockEngine{}} {
 			ddfs, err := simulate(engine, cfg, rng.ForStream(seed, 0))
 			if err != nil {
 				return false
@@ -91,7 +91,7 @@ func TestPropertyDDFsRespectRestoreFloor(t *testing.T) {
 				TTLd: dist.MustExponential(1e-3),
 			},
 		}
-		for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
+		for _, engine := range []Engine{EventEngine{}, BlockEngine{}} {
 			ddfs, err := simulate(engine, cfg, rng.ForStream(seed, 1))
 			if err != nil {
 				return false

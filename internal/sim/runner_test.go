@@ -53,7 +53,6 @@ func TestRunInvariance(t *testing.T) {
 		split int
 	}{
 		{"event", RunSpec{Config: latent, Engine: EventEngine{}}, 137},
-		{"interval", RunSpec{Config: latent, Engine: IntervalEngine{}}, 137},
 		{"block plain", RunSpec{Config: plain, Engine: BlockEngine{}}, 137},
 		{"block biased", RunSpec{Config: biased, Engine: BlockEngine{}}, 137},
 		{"block VR", RunSpec{Config: vr, Engine: BlockEngine{}}, 137},

@@ -14,7 +14,9 @@
 //   - a DDF involving a defective drive clears that defect at the same
 //     restore time as the concomitant operational failure.
 //
-// Three simulators implement these semantics:
+// Two independent implementations of these semantics, cross-validated
+// statistically in tests and each pinned by golden per-stream digests
+// (testdata/stream_digests.txt), make up three simulators:
 //
 //   - one discrete-event chronology core with two drivers. EventEngine
 //     (and SimulateTraced, which streams Fig.-5 timing diagrams from it)
@@ -26,12 +28,10 @@
 //     — waiting for a spare, a repair slot or component access — carries
 //     the DDF's suppression window and concomitant defect repair to the
 //     instant it does start;
-//   - IntervalEngine, a per-slot interval sweep patterned on the paper's
-//     Fig. 5 timing diagram — the scalar oracle the block engine must
-//     match bit for bit;
-//   - BlockEngine, the batched structure-of-arrays form of the interval
-//     sweep: the default wherever it can run a configuration, and the only
-//     engine implementing variance reduction (VR).
+//   - BlockEngine, a per-slot interval sweep patterned on the paper's
+//     Fig. 5 timing diagram, batched in structure-of-arrays form: the
+//     default wherever it can run a configuration, and the only engine
+//     implementing variance reduction (VR).
 //
 // RunCollect drives any of them through one ordered dispatch loop.
 package sim
@@ -128,7 +128,7 @@ type Config struct {
 	// Spares optionally bounds the spare-drive pool; nil means a spare is
 	// always on hand (the paper's assumption). Only the event engine
 	// supports finite spares: the pool couples the drive slots, which the
-	// per-slot interval engine cannot express.
+	// per-slot block engine cannot express.
 	Spares *SparePolicy
 	// Topology optionally couples the drive slots through shared
 	// components (enclosures, expanders, controllers): a component failure

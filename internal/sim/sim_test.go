@@ -203,7 +203,7 @@ func TestRedundancy2MatchesDoubleParityChain(t *testing.T) {
 	}
 }
 
-// The interval engine must agree with the event engine statistically.
+// The block engine must agree with the event engine statistically.
 func TestEnginesCrossValidate(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(5e-4)
@@ -229,21 +229,21 @@ func TestEnginesCrossValidate(t *testing.T) {
 		return total, opop, ldop
 	}
 	evTotal, evOpOp, evLdOp := count(EventEngine{}, 11)
-	ivTotal, ivOpOp, ivLdOp := count(IntervalEngine{}, 12)
-	if evTotal == 0 || ivTotal == 0 {
+	blTotal, blOpOp, blLdOp := count(BlockEngine{}, 12)
+	if evTotal == 0 || blTotal == 0 {
 		t.Fatal("no DDFs generated; config too mild for the test")
 	}
 	rel := func(a, b int) float64 {
 		return math.Abs(float64(a)-float64(b)) / math.Max(float64(a), float64(b))
 	}
-	if rel(evTotal, ivTotal) > 0.08 {
-		t.Errorf("total DDFs disagree: event=%d interval=%d", evTotal, ivTotal)
+	if rel(evTotal, blTotal) > 0.08 {
+		t.Errorf("total DDFs disagree: event=%d block=%d", evTotal, blTotal)
 	}
-	if rel(evLdOp, ivLdOp) > 0.10 {
-		t.Errorf("LdOp DDFs disagree: event=%d interval=%d", evLdOp, ivLdOp)
+	if rel(evLdOp, blLdOp) > 0.10 {
+		t.Errorf("LdOp DDFs disagree: event=%d block=%d", evLdOp, blLdOp)
 	}
-	if rel(evOpOp+1, ivOpOp+1) > 0.25 {
-		t.Errorf("OpOp DDFs disagree: event=%d interval=%d", evOpOp, ivOpOp)
+	if rel(evOpOp+1, blOpOp+1) > 0.25 {
+		t.Errorf("OpOp DDFs disagree: event=%d block=%d", evOpOp, blOpOp)
 	}
 }
 
@@ -416,7 +416,7 @@ func TestChronologyInvariants(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(1e-3)
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
-	for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
+	for _, engine := range []Engine{EventEngine{}, BlockEngine{}} {
 		for i := 0; i < 500; i++ {
 			ddfs, err := simulate(engine, cfg, rng.ForStream(10, uint64(i)))
 			if err != nil {

@@ -134,18 +134,6 @@ func TestInstantReplenishEquivalent(t *testing.T) {
 	}
 }
 
-func TestIntervalEngineRejectsSpares(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Spares = &SparePolicy{Initial: 1, ReplenishHours: 10}
-	if _, err := simulate(IntervalEngine{}, cfg, rng.New(1)); err == nil {
-		t.Error("interval engine accepted a finite spare pool")
-	}
-	// But the runner with the default (event) engine accepts it.
-	if _, err := RunSparse(RunSpec{Config: cfg, Iterations: 50, Seed: 1}); err != nil {
-		t.Errorf("event-engine run rejected spares: %v", err)
-	}
-}
-
 // DDF spacing still respects suppression with delayed rebuild starts, and
 // all invariants hold under spare starvation.
 func TestSpareChronologyInvariants(t *testing.T) {

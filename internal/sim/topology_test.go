@@ -99,7 +99,7 @@ func TestTopologyStringDeterministic(t *testing.T) {
 
 // An explicitly flat (component-free) topology must compile down to
 // exactly the nil-topology model: same DDF times, causes, and log weights
-// per stream, for all three engines, plain and biased.
+// per stream, for both engines, plain and biased.
 func TestFlatTopologyBitIdentical(t *testing.T) {
 	base := fastConfig()
 	base.Trans.TTLd = dist.MustExponential(5e-4)
@@ -114,7 +114,6 @@ func TestFlatTopologyBitIdentical(t *testing.T) {
 		e    Engine
 	}{
 		{"event", EventEngine{}},
-		{"interval", IntervalEngine{}},
 		{"block", BlockEngine{}},
 	}
 	for _, cfg := range []Config{base, biased} {

@@ -44,8 +44,9 @@ const DefaultVRBlock = 256
 
 // VR configures variance reduction for block-engine runs. The zero value
 // disables every technique (plain Monte Carlo); BlockSize alone does not
-// change results — bit-identity with the scalar engines holds whenever
-// Enabled() is false — it only sets the batching granularity.
+// change results — every iteration reproduces BlockEngine.SimulateInto on
+// its stream whenever Enabled() is false — it only sets the batching
+// granularity.
 type VR struct {
 	// Antithetic pairs iterations (2j, 2j+1) on RNG stream j with
 	// complementary uniforms.
