@@ -16,6 +16,7 @@ package service
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
@@ -36,9 +37,22 @@ type Shard struct {
 }
 
 // Range returns the shard's [start, end) iteration range of an
-// n-iteration campaign.
+// n-iteration campaign, exact for any n: the products Index·n and
+// (Index+1)·n are taken in 128 bits. An invalid shard or a negative n
+// yields the empty range [0, 0).
 func (s Shard) Range(n int) (start, end int) {
-	return s.Index * n / s.Count, (s.Index + 1) * n / s.Count
+	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count || n < 0 {
+		return 0, 0
+	}
+	return mulDiv(s.Index, n, s.Count), mulDiv(s.Index+1, n, s.Count)
+}
+
+// mulDiv returns ⌊a·b/c⌋ for 0 <= a <= c, b >= 0 and c >= 1. The quotient
+// is at most b, so it fits, and bits.Div64 cannot overflow.
+func mulDiv(a, b, c int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	q, _ := bits.Div64(hi, lo, uint64(c))
+	return int(q)
 }
 
 // JobSpec is the wire form of a campaign request. Params is the full model
