@@ -165,13 +165,20 @@ func RunCollect(spec RunSpec, c Collector) error {
 	workers = min(workers, uLast-u0+1)
 
 	// done releases workers blocked on a full channel when the merger
-	// aborts early on an error.
+	// aborts early on an error. Every worker has exited by the time
+	// RunCollect returns (the deferred Wait runs after close(done)), so its
+	// goroutine and engine scratch are free for the next run to reuse
+	// rather than allocate anew.
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	done := make(chan struct{})
 	defer close(done)
 	chans := make([]chan *unit, workers)
+	wg.Add(workers)
 	for w := range chans {
 		chans[w] = make(chan *unit, unitWindow)
 		go func(w int, out chan<- *unit) {
+			defer wg.Done()
 			wk := newUnitWorker(&spec, fc)
 			defer wk.release()
 			for u := u0 + w; u <= uLast; u += workers {
