@@ -14,7 +14,8 @@ import (
 // β = 3 scrub ends), exponential transitions with frequent events (heavy
 // sweep/suppression/concomitant-repair traffic), latent defects without
 // scrub, per-slot overrides, the NHPP defect process, and the θ-tilted
-// variants with their censored-weight bookkeeping.
+// variants with their censored-weight bookkeeping, and defect processes
+// on either side of the Poisson arrival layout's domain.
 func blockIdentityConfigs() map[string]Config {
 	fastLatent := fastConfig()
 	fastLatent.Trans.TTLd = dist.MustExponential(1e-4)
@@ -40,16 +41,30 @@ func blockIdentityConfigs() map[string]Config {
 	biasedBoth.Bias.Op = 4
 	biasedBoth.Bias.Ld = 3
 
+	// Defect processes at the edges of the Poisson layout: a rate whose
+	// generation windows hold ~876 expected arrivals, a wear-out (β = 1.5)
+	// renewal process, and a β = 1 process shifted by a location, which
+	// is a renewal process but not a Poisson one.
+	denseLd := paperBaseConfig()
+	denseLd.Trans.TTLd = dist.MustExponential(1e-2)
+	wearLd := paperBaseConfig()
+	wearLd.Trans.TTLd = dist.MustWeibull(1.5, 9259, 0)
+	shiftedLd := paperBaseConfig()
+	shiftedLd.Trans.TTLd = dist.MustWeibull(1, 9259, 50)
+
 	return map[string]Config{
-		"paper base case": paperBaseConfig(),
-		"fast latent":     fastLatent,
-		"no scrub":        noScrub,
-		"mixed vintage":   mixed,
-		"nhpp":            nhpp,
-		"biased op":       biased,
-		"biased op+ld":    biasedBoth,
-		"rare bias θ=8":   rareBiasConfig(8),
-		"rare bias θ=0.5": rareBiasConfig(0.5),
+		"paper base case":  paperBaseConfig(),
+		"fast latent":      fastLatent,
+		"no scrub":         noScrub,
+		"mixed vintage":    mixed,
+		"nhpp":             nhpp,
+		"biased op":        biased,
+		"biased op+ld":     biasedBoth,
+		"rare bias θ=8":    rareBiasConfig(8),
+		"rare bias θ=0.5":  rareBiasConfig(0.5),
+		"dense defects":    denseLd,
+		"wear-out defects": wearLd,
+		"shifted defects":  shiftedLd,
 	}
 }
 
