@@ -127,7 +127,7 @@ func Replay(cfg Config, seed uint64) (*Result, error) {
 		candidates []lossCandidate
 		openLoss   = make(map[int]int) // slot -> candidate index awaiting restoreEnd
 	)
-	rows := rowsPerSet(array)
+	rows := array.RowsPerSet()
 
 	for _, e := range trace.Events {
 		switch e.Kind {
@@ -318,14 +318,6 @@ func fillArray(a *raid.Array, blockSize int, r *rng.RNG) error {
 		}
 	}
 	return nil
-}
-
-// rowsPerSet mirrors the array's internal stripe-set depth.
-func rowsPerSet(a *raid.Array) int {
-	if a.Level() == raid.RAID6 {
-		return a.Disks() - 2
-	}
-	return 1
 }
 
 // ErrMismatch is returned by Check when verdicts disagree outside the

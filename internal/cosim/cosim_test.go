@@ -75,36 +75,34 @@ func TestModelMatchesPhysicsRAID5(t *testing.T) {
 		}
 		agreed++
 	}
-	if agreed < runs/2 {
-		t.Fatalf("only %d of %d runs were corner-free; config too hot to be meaningful (corners=%d)",
-			agreed, runs, corners)
-	}
 	if modelDDFs == 0 {
 		t.Fatal("no DDFs generated; config too mild")
 	}
 	t.Logf("agreed=%d corners=%d modelDDFs=%d physicalLosses=%d",
 		agreed, corners, modelDDFs, physLosses)
+	// The seeds are fixed, so the split is exact; EXPERIMENTS.md and
+	// DESIGN.md cite it as 353 of 400.
+	if agreed != 353 || corners != 47 {
+		t.Fatalf("agreed=%d corners=%d, want 353 and 47", agreed, corners)
+	}
 }
 
-// Double-parity arrays replayed against a redundancy-2 model — both the
-// row-diagonal-parity and the Reed-Solomon codec.
+// Row-diagonal-parity arrays replayed against a redundancy-2 model.
 func TestModelMatchesPhysicsRAID6(t *testing.T) {
-	for _, level := range []raid.Level{raid.RAID6, raid.RAID6RS} {
-		cfg := busyConfig()
-		cfg.Level = level
-		cfg.Sim.Redundancy = 2
-		// Hotter rates so triple coincidences actually occur sometimes.
-		cfg.Sim.Trans.TTOp = dist.MustExponential(1e-4)
-		cfg.Sim.Trans.TTLd = dist.MustExponential(1e-3)
-		cfg.Sim.Trans.TTScrub = dist.MustWeibull(3, 2000, 6)
-		for i := 0; i < 60; i++ {
-			res, err := Replay(cfg, uint64(2000+i))
-			if err != nil {
-				t.Fatalf("%v: %v", level, err)
-			}
-			if !res.Agrees() {
-				t.Fatalf("%v run %d: model %v, physical %v", level, i, res.ModelDDFs, res.PhysicalLosses)
-			}
+	cfg := busyConfig()
+	cfg.Level = raid.RAID6
+	cfg.Sim.Redundancy = 2
+	// Hotter rates so triple coincidences actually occur sometimes.
+	cfg.Sim.Trans.TTOp = dist.MustExponential(1e-4)
+	cfg.Sim.Trans.TTLd = dist.MustExponential(1e-3)
+	cfg.Sim.Trans.TTScrub = dist.MustWeibull(3, 2000, 6)
+	for i := 0; i < 60; i++ {
+		res, err := Replay(cfg, uint64(2000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Agrees() {
+			t.Fatalf("run %d: model %v, physical %v", i, res.ModelDDFs, res.PhysicalLosses)
 		}
 	}
 }

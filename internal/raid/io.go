@@ -24,17 +24,13 @@ func (a *Array) WriteStripe(set int, data [][]byte) error {
 			return fmt.Errorf("raid: cannot write with disk %d failed (degraded writes unsupported)", d)
 		}
 	}
-	switch a.level {
-	case RAID6:
+	if a.level == RAID6 {
 		return a.writeStripeRDP(set, data)
-	case RAID6RS:
-		return a.writeStripeRS(set, data)
-	default:
-		return a.writeStripeXOR(set, data)
 	}
+	return a.writeStripeXOR(set, data)
 }
 
-// writeStripeXOR writes a single-row stripe with XOR parity.
+// writeStripeXOR writes a single-row RAID5 stripe with XOR parity.
 func (a *Array) writeStripeXOR(set int, data [][]byte) error {
 	parity := make([]byte, a.blockSize)
 	for i, d := range a.dataDisks(set) {
@@ -102,17 +98,9 @@ func (a *Array) ReadStripe(set int) ([][]byte, error) {
 		return nil, err
 	}
 	out := make([][]byte, 0, a.DataBlocksPerSet())
-	switch a.level {
-	case RAID6:
-		p := a.prime
-		for r := 0; r < p-1; r++ {
-			for c := 0; c < p-1; c++ {
-				out = append(out, cells[r][c])
-			}
-		}
-	default: // RAID4/5 and RAID6-RS: dataDisks gives the logical order
+	for r := 0; r < a.RowsPerSet(); r++ {
 		for _, d := range a.dataDisks(set) {
-			out = append(out, cells[0][d])
+			out = append(out, cells[r][d])
 		}
 	}
 	return out, nil
@@ -133,7 +121,7 @@ func (e *UnrecoverableError) Error() string {
 // recoverSet returns the full cell matrix [row][column] of a stripe set
 // with erasures reconstructed, or an UnrecoverableError.
 func (a *Array) recoverSet(set int) ([][][]byte, error) {
-	rows := a.rowsPerSet()
+	rows := a.RowsPerSet()
 	cols := len(a.disks)
 	cells := make([][][]byte, rows)
 	missing := make([][]bool, rows)
@@ -150,71 +138,38 @@ func (a *Array) recoverSet(set int) ([][][]byte, error) {
 			}
 		}
 	}
-	switch a.level {
-	case RAID6:
-		if err := a.solveRDP(set, cells, missing); err != nil {
-			return nil, err
-		}
-	case RAID6RS:
-		if err := a.solveRS(set, cells, missing); err != nil {
-			return nil, err
-		}
-	default:
-		var lost []int
-		for r := 0; r < rows; r++ {
-			n := 0
-			for c := 0; c < cols; c++ {
-				if missing[r][c] {
-					n++
-				}
-			}
-			switch {
-			case n == 0:
-			case n == 1:
-				// XOR of all surviving cells reconstructs the lone loss.
-				idx := -1
-				rec := make([]byte, a.blockSize)
-				for c := 0; c < cols; c++ {
-					if missing[r][c] {
-						idx = c
-						continue
-					}
-					xorInto(rec, cells[r][c])
-				}
-				cells[r][idx] = rec
-				missing[r][idx] = false
-			default:
-				lost = append(lost, r)
-			}
-		}
-		if lost != nil {
-			return nil, &UnrecoverableError{Set: set, Rows: lost}
-		}
+	if err := a.solve(set, cells, missing); err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
 
-// solveRDP reconstructs missing cells of an RDP stripe set by constraint
-// propagation: any row or stored diagonal with exactly one missing cell
-// determines it; iterate to fixpoint. Corbett et al. prove two lost
-// columns always converge for prime p; the iterative solver also handles
+// solve reconstructs the missing cells of a stripe set in place by
+// constraint propagation: any parity chain with exactly one missing cell
+// determines it; iterate to fixpoint. A RAID5 row is one chain over every
+// column. An RDP set has a chain per row over columns 0..p-1 (data + row
+// parity) and one per stored diagonal; Corbett et al. prove two lost
+// columns always converge for prime p, and the solver also handles
 // scattered block corruption up to the same budget per chain.
-func (a *Array) solveRDP(set int, cells [][][]byte, missing [][]bool) error {
-	p := a.prime
-	rows := p - 1
-	for {
-		progress := false
-		// Rows: columns 0..p-1 XOR to zero (row parity definition).
+func (a *Array) solve(set int, cells [][][]byte, missing [][]bool) error {
+	rows := a.RowsPerSet()
+	rowCols := len(a.disks)
+	if a.level == RAID6 {
+		rowCols = a.prime // column p holds diagonal parity, outside the rows
+	}
+	for progress := true; progress; {
+		progress = false
+		// Rows: the row's parity chain XORs to zero.
 		for r := 0; r < rows; r++ {
 			idx, n := -1, 0
-			for c := 0; c <= p-1; c++ {
+			for c := 0; c < rowCols; c++ {
 				if missing[r][c] {
 					idx, n = c, n+1
 				}
 			}
 			if n == 1 {
 				rec := make([]byte, a.blockSize)
-				for c := 0; c <= p-1; c++ {
+				for c := 0; c < rowCols; c++ {
 					if c != idx {
 						xorInto(rec, cells[r][c])
 					}
@@ -224,42 +179,8 @@ func (a *Array) solveRDP(set int, cells [][][]byte, missing [][]bool) error {
 				progress = true
 			}
 		}
-		// Stored diagonals: diagonal parity cell XOR member cells == 0.
-		for d := 0; d < p-1; d++ {
-			type cell struct{ r, c int }
-			idx := cell{-1, -1}
-			n := 0
-			if missing[d][p] {
-				idx, n = cell{d, p}, n+1
-			}
-			for c := 0; c <= p-1; c++ {
-				r := ((d-c)%p + p) % p
-				if r >= rows {
-					continue
-				}
-				if missing[r][c] {
-					idx, n = cell{r, c}, n+1
-				}
-			}
-			if n == 1 {
-				rec := make([]byte, a.blockSize)
-				if !(idx.r == d && idx.c == p) {
-					xorInto(rec, cells[d][p])
-				}
-				for c := 0; c <= p-1; c++ {
-					r := ((d-c)%p + p) % p
-					if r >= rows || (r == idx.r && c == idx.c) {
-						continue
-					}
-					xorInto(rec, cells[r][c])
-				}
-				cells[idx.r][idx.c] = rec
-				missing[idx.r][idx.c] = false
-				progress = true
-			}
-		}
-		if !progress {
-			break
+		if a.level == RAID6 && a.solveDiagonals(cells, missing) {
+			progress = true
 		}
 	}
 	var lost []int
@@ -275,6 +196,49 @@ func (a *Array) solveRDP(set int, cells [][][]byte, missing [][]bool) error {
 		return &UnrecoverableError{Set: set, Rows: lost}
 	}
 	return nil
+}
+
+// solveDiagonals is one pass over an RDP set's stored diagonals: the
+// diagonal parity cell XOR its member cells is zero, so a diagonal with
+// one missing cell determines it. It reports whether any cell was filled.
+func (a *Array) solveDiagonals(cells [][][]byte, missing [][]bool) bool {
+	p := a.prime
+	rows := p - 1
+	progress := false
+	for d := 0; d < p-1; d++ {
+		type cell struct{ r, c int }
+		idx := cell{-1, -1}
+		n := 0
+		if missing[d][p] {
+			idx, n = cell{d, p}, n+1
+		}
+		for c := 0; c <= p-1; c++ {
+			r := ((d-c)%p + p) % p
+			if r >= rows {
+				continue
+			}
+			if missing[r][c] {
+				idx, n = cell{r, c}, n+1
+			}
+		}
+		if n == 1 {
+			rec := make([]byte, a.blockSize)
+			if !(idx.r == d && idx.c == p) {
+				xorInto(rec, cells[d][p])
+			}
+			for c := 0; c <= p-1; c++ {
+				r := ((d-c)%p + p) % p
+				if r >= rows || (r == idx.r && c == idx.c) {
+					continue
+				}
+				xorInto(rec, cells[r][c])
+			}
+			cells[idx.r][idx.c] = rec
+			missing[idx.r][idx.c] = false
+			progress = true
+		}
+	}
+	return progress
 }
 
 func clone(b []byte) []byte {

@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -32,14 +33,8 @@ func (a *Array) FailedDisks() []int {
 // changes but the stored checksum does not, exactly like a latent sector
 // defect — invisible until the block is next read or scrubbed.
 func (a *Array) CorruptBlock(d, set, row int) error {
-	if err := a.checkDisk(d); err != nil {
+	if err := a.checkBlock(d, set, row); err != nil {
 		return err
-	}
-	if err := a.checkSet(set); err != nil {
-		return err
-	}
-	if row < 0 || row >= a.rowsPerSet() {
-		return fmt.Errorf("raid: row %d out of range [0,%d)", row, a.rowsPerSet())
 	}
 	if a.disks[d].failed {
 		return fmt.Errorf("raid: disk %d is failed; nothing to corrupt", d)
@@ -74,7 +69,7 @@ func (a *Array) ReplaceDisk(d int) (*RebuildReport, error) {
 		return nil, fmt.Errorf("raid: disk %d has not failed", d)
 	}
 	report := &RebuildReport{Disk: d}
-	rows := a.rowsPerSet()
+	rows := a.RowsPerSet()
 	// Bring the disk back empty, then reconstruct set by set using the
 	// remaining drives (the disk participates as an erasure during its own
 	// reconstruction).
@@ -87,7 +82,7 @@ func (a *Array) ReplaceDisk(d int) (*RebuildReport, error) {
 		cells, err := a.recoverSet(set)
 		if err != nil {
 			var unrec *UnrecoverableError
-			if asUnrecoverable(err, &unrec) {
+			if errors.As(err, &unrec) {
 				report.LostSets = append(report.LostSets, set)
 				// Zero-fill with valid checksums so the array returns to a
 				// consistent (if lossy) state.
@@ -129,29 +124,13 @@ func (a *Array) ReplaceDisk(d int) (*RebuildReport, error) {
 	return report, nil
 }
 
-// asUnrecoverable is a tiny errors.As specialization (avoids importing
-// errors for one call site spread).
-func asUnrecoverable(err error, target **UnrecoverableError) bool {
-	u, ok := err.(*UnrecoverableError)
-	if ok {
-		*target = u
-	}
-	return ok
-}
-
 // RepairBlock reconstructs a single block from parity and rewrites it — a
 // targeted scrub of one suspect location (the per-defect correction the
 // reliability model's TTScrub samples). It fails if the stripe set is
 // unrecoverable (e.g. another disk is down and the set has lost too much).
 func (a *Array) RepairBlock(d, set, row int) error {
-	if err := a.checkDisk(d); err != nil {
+	if err := a.checkBlock(d, set, row); err != nil {
 		return err
-	}
-	if err := a.checkSet(set); err != nil {
-		return err
-	}
-	if row < 0 || row >= a.rowsPerSet() {
-		return fmt.Errorf("raid: row %d out of range [0,%d)", row, a.rowsPerSet())
 	}
 	if a.disks[d].failed {
 		return fmt.Errorf("raid: disk %d is failed; rebuild it instead", d)
@@ -161,75 +140,5 @@ func (a *Array) RepairBlock(d, set, row int) error {
 		return err
 	}
 	a.writeRaw(d, set, row, cells[row][d])
-	return nil
-}
-
-// ScrubReport summarizes one full scrub pass.
-type ScrubReport struct {
-	// CheckedBlocks counts blocks whose checksum was verified.
-	CheckedBlocks int
-	// RepairedBlocks counts silently corrupted blocks that were
-	// reconstructed from parity and rewritten.
-	RepairedBlocks int
-	// UnrecoverableSets lists stripe sets where corruption exceeded the
-	// redundancy (possible only with coincident corruptions or failures).
-	UnrecoverableSets []int
-}
-
-// Scrub reads every block on every live drive, verifies checksums, and
-// repairs silent corruption from parity — the paper's §6.4 background
-// scrubbing, performed as one synchronous pass.
-func (a *Array) Scrub() (*ScrubReport, error) {
-	report := &ScrubReport{}
-	rows := a.rowsPerSet()
-	for set := 0; set < a.stripeSets; set++ {
-		// First count checks for reporting.
-		bad := false
-		for d := range a.disks {
-			if a.disks[d].failed {
-				continue
-			}
-			for r := 0; r < rows; r++ {
-				report.CheckedBlocks++
-				if _, ok := a.readRaw(d, set, r); !ok {
-					bad = true
-				}
-			}
-		}
-		if !bad {
-			continue
-		}
-		cells, err := a.recoverSet(set)
-		if err != nil {
-			var unrec *UnrecoverableError
-			if asUnrecoverable(err, &unrec) {
-				report.UnrecoverableSets = append(report.UnrecoverableSets, set)
-				continue
-			}
-			return nil, err
-		}
-		for d := range a.disks {
-			if a.disks[d].failed {
-				continue
-			}
-			for r := 0; r < rows; r++ {
-				if _, ok := a.readRaw(d, set, r); !ok {
-					a.writeRaw(d, set, r, cells[r][d])
-					report.RepairedBlocks++
-				}
-			}
-		}
-	}
-	return report, nil
-}
-
-// VerifyAll re-reads every stripe set and returns the first error, or nil
-// if every block is intact or reconstructable.
-func (a *Array) VerifyAll() error {
-	for set := 0; set < a.stripeSets; set++ {
-		if _, err := a.ReadStripe(set); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -6,14 +6,15 @@
 // corruption first and the subsequent rebuild succeeds; double parity
 // (row-diagonal parity, the paper's reference [24]) survives both.
 //
-// Layouts:
-//   - RAID4: dedicated parity disk, XOR row parity.
-//   - RAID5: rotating parity, XOR row parity.
+// It holds the two layouts the model counts losses for, so that
+// internal/cosim can replay model chronologies on real parity arithmetic:
+//   - RAID5: rotating parity, XOR row parity, single-row stripes.
 //   - RAID6: row-diagonal parity (RDP). For p prime the array has p+1
 //     disks (p-1 data, row parity, diagonal parity) and stripes are sets
 //     of p-1 rows.
-//   - RAID6RS: Reed-Solomon P+Q over GF(2^8); any disk count >= 4,
-//     single-row stripes. Cross-validates the RDP implementation.
+//
+// Scrubbing is per defect, as in the model: RepairBlock reconstructs one
+// suspect block from parity and rewrites it.
 package raid
 
 import (
@@ -25,10 +26,8 @@ import (
 type Level int
 
 const (
-	// RAID4 uses a dedicated XOR parity disk.
-	RAID4 Level = iota + 1
 	// RAID5 rotates XOR parity across disks.
-	RAID5
+	RAID5 Level = iota + 1
 	// RAID6 uses NetApp-style row-diagonal parity (double parity).
 	RAID6
 )
@@ -36,14 +35,10 @@ const (
 // String implements fmt.Stringer.
 func (l Level) String() string {
 	switch l {
-	case RAID4:
-		return "RAID4"
 	case RAID5:
 		return "RAID5"
 	case RAID6:
 		return "RAID6-RDP"
-	case RAID6RS:
-		return "RAID6-RS"
 	default:
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
@@ -71,15 +66,17 @@ type Array struct {
 	prime      int // RAID6 only: the RDP prime p (disks == p+1)
 }
 
-// rowsPerSet returns the number of rows in one stripe set.
-func (a *Array) rowsPerSet() int {
+// RowsPerSet returns the number of rows in one stripe set: p-1 for RAID6,
+// 1 for RAID5. Block addresses are (disk, set, row) with row in
+// [0, RowsPerSet()).
+func (a *Array) RowsPerSet() int {
 	if a.level == RAID6 {
 		return a.prime - 1
 	}
 	return 1
 }
 
-// New creates an array. RAID4/5 need >= 3 disks. RAID6 needs disks == p+1
+// New creates an array. RAID5 needs >= 3 disks. RAID6 needs disks == p+1
 // for a prime p >= 3 (e.g. 6, 8, 12, 14 disks).
 func New(level Level, disks, stripeSets, blockSize int) (*Array, error) {
 	if stripeSets < 1 {
@@ -90,7 +87,7 @@ func New(level Level, disks, stripeSets, blockSize int) (*Array, error) {
 	}
 	a := &Array{level: level, blockSize: blockSize, stripeSets: stripeSets}
 	switch level {
-	case RAID4, RAID5:
+	case RAID5:
 		if disks < 3 {
 			return nil, fmt.Errorf("raid: %v needs >= 3 disks, got %d", level, disks)
 		}
@@ -100,14 +97,10 @@ func New(level Level, disks, stripeSets, blockSize int) (*Array, error) {
 			return nil, fmt.Errorf("raid: RAID6-RDP needs p+1 disks with p prime >= 3, got %d disks", disks)
 		}
 		a.prime = p
-	case RAID6RS:
-		if err := validateRS(disks); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("raid: unknown level %d", int(level))
 	}
-	blocksPerDisk := stripeSets * a.rowsPerSetFor(level, disks)
+	blocksPerDisk := stripeSets * a.RowsPerSet()
 	a.disks = make([]disk, disks)
 	for d := range a.disks {
 		a.disks[d].blocks = make([]block, blocksPerDisk)
@@ -117,13 +110,6 @@ func New(level Level, disks, stripeSets, blockSize int) (*Array, error) {
 		}
 	}
 	return a, nil
-}
-
-func (a *Array) rowsPerSetFor(level Level, disks int) int {
-	if level == RAID6 {
-		return disks - 2 // p-1
-	}
-	return 1
 }
 
 func isPrime(n int) bool {
@@ -149,67 +135,52 @@ func (a *Array) StripeSets() int { return a.stripeSets }
 
 // DataBlocksPerSet returns how many user blocks one stripe set holds.
 func (a *Array) DataBlocksPerSet() int {
-	switch a.level {
-	case RAID6:
+	if a.level == RAID6 {
 		return (a.prime - 1) * (a.prime - 1)
-	case RAID6RS:
-		return len(a.disks) - 2
-	default:
-		return len(a.disks) - 1
 	}
+	return len(a.disks) - 1
 }
 
 // Redundancy returns the number of simultaneous whole-disk losses the
 // layout tolerates.
 func (a *Array) Redundancy() int {
-	if a.level == RAID6 || a.level == RAID6RS {
+	if a.level == RAID6 {
 		return 2
 	}
 	return 1
 }
 
-// parityDisk returns the column holding row parity for the given set.
+// parityDisk returns the column holding row parity for the given set:
+// rotating under RAID5, fixed on column p-1 under RAID6.
 func (a *Array) parityDisk(set int) int {
-	switch a.level {
-	case RAID4:
-		return len(a.disks) - 1
-	case RAID5:
-		return set % len(a.disks)
-	default: // RAID6: row parity lives on column p-1
+	if a.level == RAID6 {
 		return a.prime - 1
 	}
+	return set % len(a.disks)
 }
 
 // dataDisks lists the columns holding user data for the given set, in
 // logical order.
 func (a *Array) dataDisks(set int) []int {
-	switch a.level {
-	case RAID6:
+	if a.level == RAID6 {
 		out := make([]int, a.prime-1)
 		for i := range out {
 			out[i] = i
 		}
 		return out
-	case RAID6RS:
-		out := make([]int, a.rsDataDisks())
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	default:
-		pd := a.parityDisk(set)
-		out := make([]int, 0, len(a.disks)-1)
-		for d := range a.disks {
-			if d != pd {
-				out = append(out, d)
-			}
-		}
-		return out
 	}
+	pd := a.parityDisk(set)
+	out := make([]int, 0, len(a.disks)-1)
+	for d := range a.disks {
+		if d != pd {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // blockIndex maps (set, row) to the per-disk block index.
-func (a *Array) blockIndex(set, row int) int { return set*a.rowsPerSet() + row }
+func (a *Array) blockIndex(set, row int) int { return set*a.RowsPerSet() + row }
 
 // writeRaw stores payload into (disk, set, row) with a fresh checksum.
 func (a *Array) writeRaw(d, set, row int, payload []byte) {
@@ -252,6 +223,20 @@ func (a *Array) checkSet(set int) error {
 func (a *Array) checkDisk(d int) error {
 	if d < 0 || d >= len(a.disks) {
 		return fmt.Errorf("raid: disk %d out of range [0,%d)", d, len(a.disks))
+	}
+	return nil
+}
+
+// checkBlock validates a (disk, set, row) block address.
+func (a *Array) checkBlock(d, set, row int) error {
+	if err := a.checkDisk(d); err != nil {
+		return err
+	}
+	if err := a.checkSet(set); err != nil {
+		return err
+	}
+	if row < 0 || row >= a.RowsPerSet() {
+		return fmt.Errorf("raid: row %d out of range [0,%d)", row, a.RowsPerSet())
 	}
 	return nil
 }

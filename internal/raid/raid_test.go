@@ -67,13 +67,13 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestLevelString(t *testing.T) {
-	if RAID4.String() != "RAID4" || RAID5.String() != "RAID5" || RAID6.String() != "RAID6-RDP" {
+	if RAID5.String() != "RAID5" || RAID6.String() != "RAID6-RDP" {
 		t.Error("level strings wrong")
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	for _, level := range []Level{RAID4, RAID5, RAID6} {
+	for _, level := range []Level{RAID5, RAID6} {
 		a, err := New(level, 8, 6, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestWriteValidation(t *testing.T) {
 }
 
 func TestSingleDiskFailureRecovery(t *testing.T) {
-	for _, level := range []Level{RAID4, RAID5, RAID6} {
+	for _, level := range []Level{RAID5, RAID6} {
 		a, err := New(level, 8, 5, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -242,12 +242,8 @@ func TestLatentDefectPlusFailure(t *testing.T) {
 		if err := a.CorruptBlock(2, 3, 0); err != nil {
 			t.Fatal(err)
 		}
-		scrub, err := a.Scrub()
-		if err != nil {
+		if err := a.RepairBlock(2, 3, 0); err != nil { // the scrub reaches the defect first
 			t.Fatal(err)
-		}
-		if scrub.RepairedBlocks != 1 || len(scrub.UnrecoverableSets) != 0 {
-			t.Fatalf("scrub report = %+v", scrub)
 		}
 		if err := a.FailDisk(5); err != nil {
 			t.Fatal(err)
@@ -296,20 +292,28 @@ func TestScrubRepairsScatteredCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := a.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RepairedBlocks != 10 {
-		t.Errorf("repaired %d, want 10", rep.RepairedBlocks)
-	}
-	if len(rep.UnrecoverableSets) != 0 {
-		t.Errorf("unrecoverable: %v", rep.UnrecoverableSets)
+	for set := 0; set < 10; set++ {
+		if err := a.RepairBlock(set%8, set, 0); err != nil {
+			t.Fatalf("repair set %d: %v", set, err)
+		}
 	}
 	checkData(t, a, want)
-	if err := a.VerifyAll(); err != nil {
-		t.Errorf("VerifyAll after scrub: %v", err)
+	// Every repair was rewritten in place: each set survives the loss of
+	// any one drive, which an unrepaired corruption on another drive
+	// would make a stripe loss.
+	for d := 0; d < a.Disks(); d++ {
+		if err := a.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := a.ReplaceDisk(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.LostSets) != 0 {
+			t.Fatalf("rebuild of disk %d after repair lost sets %v", d, rep.LostSets)
+		}
 	}
+	checkData(t, a, want)
 }
 
 func TestScrubReportsDoubleCorruption(t *testing.T) {
@@ -325,12 +329,12 @@ func TestScrubReportsDoubleCorruption(t *testing.T) {
 	if err := a.CorruptBlock(3, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.UnrecoverableSets) != 1 || rep.UnrecoverableSets[0] != 2 {
-		t.Fatalf("unrecoverable = %v, want [2]", rep.UnrecoverableSets)
+	for _, d := range []int{0, 3} {
+		err := a.RepairBlock(d, 2, 0)
+		var unrec *UnrecoverableError
+		if !errors.As(err, &unrec) || unrec.Set != 2 {
+			t.Fatalf("RAID5 repair of disk %d = %v, want set 2 unrecoverable", d, err)
+		}
 	}
 	// RAID6 shrugs off the same double corruption.
 	b, err := New(RAID6, 8, 4, 64)
@@ -344,12 +348,18 @@ func TestScrubReportsDoubleCorruption(t *testing.T) {
 	if err := b.CorruptBlock(3, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	rep6, err := b.Scrub()
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range []int{0, 3} {
+		if err := b.RepairBlock(d, 2, 0); err != nil {
+			t.Fatalf("RAID6 repair of disk %d: %v", d, err)
+		}
 	}
-	if rep6.RepairedBlocks != 2 || len(rep6.UnrecoverableSets) != 0 {
-		t.Fatalf("RAID6 scrub = %+v", rep6)
+	checkData(t, b, want)
+	// Both repairs were written back: two more whole-disk losses are
+	// within budget again.
+	for _, d := range []int{1, 5} {
+		if err := b.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkData(t, b, want)
 }
@@ -400,11 +410,11 @@ func TestGeometryAccessors(t *testing.T) {
 	if a.DataBlocksPerSet() != 36 { // (p-1)^2 with p=7
 		t.Errorf("DataBlocksPerSet = %d", a.DataBlocksPerSet())
 	}
-	if a.Redundancy() != 2 {
-		t.Errorf("Redundancy = %d", a.Redundancy())
+	if a.Redundancy() != 2 || a.RowsPerSet() != 6 { // p-1 rows
+		t.Errorf("Redundancy = %d, RowsPerSet = %d", a.Redundancy(), a.RowsPerSet())
 	}
 	b, _ := New(RAID5, 8, 2, 64)
-	if b.DataBlocksPerSet() != 7 || b.Redundancy() != 1 {
+	if b.DataBlocksPerSet() != 7 || b.Redundancy() != 1 || b.RowsPerSet() != 1 {
 		t.Error("RAID5 geometry wrong")
 	}
 }
@@ -421,11 +431,5 @@ func TestRAID5ParityRotation(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("parity visited %d disks, want 4", len(seen))
-	}
-	b, _ := New(RAID4, 4, 8, 16)
-	for set := 0; set < 8; set++ {
-		if b.parityDisk(set) != 3 {
-			t.Error("RAID4 parity should be fixed on the last disk")
-		}
 	}
 }

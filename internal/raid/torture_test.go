@@ -2,7 +2,9 @@ package raid
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 
 	"raidrel/internal/rng"
@@ -17,11 +19,11 @@ type tortureState struct {
 }
 
 // TestTortureRandomOperations drives each layout through long random
-// sequences of writes, silent corruptions, scrubs, failures, and rebuilds,
-// checking after every step that reads return exactly the shadow data (or
-// a predicted loss) — never silent garbage.
+// sequences of writes, silent corruptions, block repairs, failures, and
+// rebuilds, checking after every step that reads return exactly the
+// shadow data (or a predicted loss) — never silent garbage.
 func TestTortureRandomOperations(t *testing.T) {
-	levels := []Level{RAID4, RAID5, RAID6, RAID6RS}
+	levels := []Level{RAID5, RAID6}
 	for _, level := range levels {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
@@ -48,7 +50,7 @@ func TestTortureRandomOperations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rows := a.rowsPerSet()
+			rows := a.RowsPerSet()
 			for op := 0; op < operations; op++ {
 				switch r.Intn(5) {
 				case 0: // rewrite a stripe (only on a healthy array)
@@ -69,7 +71,7 @@ func TestTortureRandomOperations(t *testing.T) {
 					}
 				case 1: // silent corruption on a live disk
 					d := r.Intn(disks)
-					if contains(failedList(a), d) {
+					if slices.Contains(a.FailedDisks(), d) {
 						continue
 					}
 					key := [3]int{d, r.Intn(sets), r.Intn(rows)}
@@ -80,12 +82,21 @@ func TestTortureRandomOperations(t *testing.T) {
 						t.Fatalf("op %d corrupt: %v", op, err)
 					}
 					st.corruptions[key] = true
-				case 2: // scrub pass
-					rep, err := a.Scrub()
-					if err != nil {
-						t.Fatalf("op %d scrub: %v", op, err)
+				case 2: // scrub reaches one recorded corruption
+					if len(st.corruptions) == 0 {
+						continue
 					}
-					applyScrub(st, rep)
+					key := pickCorruption(st, r)
+					err := a.RepairBlock(key[0], key[1], key[2])
+					var unrec *UnrecoverableError
+					switch {
+					case err == nil:
+						delete(st.corruptions, key)
+					case errors.As(err, &unrec):
+						// Beyond redundancy: the corruption stays.
+					default:
+						t.Fatalf("op %d repair: %v", op, err)
+					}
 				case 3: // fail a disk (respect the layout's redundancy)
 					if len(a.FailedDisks()) >= a.Redundancy() {
 						continue
@@ -131,8 +142,6 @@ func randomStripe(a *Array, r *rng.RNG) [][]byte {
 	return data
 }
 
-func failedList(a *Array) []int { return a.FailedDisks() }
-
 func aliveList(a *Array) []int {
 	failed := make(map[int]bool)
 	for _, d := range a.FailedDisks() {
@@ -147,19 +156,17 @@ func aliveList(a *Array) []int {
 	return out
 }
 
-// applyScrub clears corruption bookkeeping for everything the scrub could
-// repair: with no failed disks every tracked corruption within redundancy
-// is repaired; sets reported unrecoverable keep theirs.
-func applyScrub(st *tortureState, rep *ScrubReport) {
-	unrec := make(map[int]bool, len(rep.UnrecoverableSets))
-	for _, s := range rep.UnrecoverableSets {
-		unrec[s] = true
-	}
+// pickCorruption draws one outstanding corruption, deterministically
+// for a given RNG state despite map iteration order.
+func pickCorruption(st *tortureState, r *rng.RNG) [3]int {
+	keys := make([][3]int, 0, len(st.corruptions))
 	for key := range st.corruptions {
-		if !unrec[key[1]] {
-			delete(st.corruptions, key)
-		}
+		keys = append(keys, key)
 	}
+	slices.SortFunc(keys, func(x, y [3]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]), cmp.Compare(x[2], y[2]))
+	})
+	return keys[r.Intn(len(keys))]
 }
 
 // applyRebuild zero-fills shadows of lost sets and clears corruption
