@@ -16,6 +16,9 @@
 // next batch boundary with checkpoints current — and a restarted daemon
 // resumes a resubmitted spec from where the previous process stopped.
 //
+// A job may ask for at most 2^40 iterations (a sharded job's total
+// included), about a month of simulation; a larger count is a 400.
+//
 // API (see README for curl examples):
 //
 //	POST   /v1/jobs            submit a campaign spec

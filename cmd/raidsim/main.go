@@ -81,7 +81,6 @@ import (
 	"raidrel/internal/campaign"
 	"raidrel/internal/core"
 	"raidrel/internal/report"
-	"raidrel/internal/scrub"
 	"raidrel/internal/sim"
 )
 
@@ -176,13 +175,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *ldRate > 0 {
 		p.LatentDefects = true
 		p.TTLd = core.WeibullSpec{Scale: 1 / *ldRate, Shape: 1}
-		// Periodic(0) is the disabled policy, so one call covers both the
+		// A zero period disables scrubbing, so one call covers both the
 		// scrubbing and the -scrub 0 case.
-		var err error
-		p, err = scrub.Periodic(*scrubHours).Apply(p)
-		if err != nil {
-			return err
-		}
+		p = p.WithScrubPeriod(*scrubHours)
 	}
 	if *topoFile != "" {
 		data, err := os.ReadFile(*topoFile)

@@ -114,14 +114,20 @@ func TestRunValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-scrub", "-24"}, &sb); err == nil {
 		t.Error("negative scrub period accepted")
 	}
+	// A non-finite period passes the sign check and dies in core.New, where
+	// the TTScrub Weibull rejects its scale.
+	for _, period := range []string{"NaN", "+Inf"} {
+		if err := run(context.Background(), []string{"-ld-rate", "3e-4", "-scrub", period}, &sb); err == nil {
+			t.Errorf("-scrub %s accepted", period)
+		}
+	}
 	if err := run(context.Background(), []string{"-bias", "-2"}, &sb); err == nil {
 		t.Error("negative bias factor accepted")
 	}
 }
 
 // -scrub 0 with latent defects on must disable scrubbing and still run:
-// the disabled policy is one Periodic(0) call, with no second Apply
-// clobbering the first one's error.
+// WithScrubPeriod(0) turns scrubbing off.
 func TestRunScrubDisabled(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), []string{"-iterations", "100", "-ld-rate", "3e-4", "-scrub", "0"}, &sb); err != nil {

@@ -1,8 +1,9 @@
 // Scrub tuning: an operator sizing the scrub period for a 14-drive SATA
 // shelf under three workload profiles. The example derives the latent-
-// defect rate from the workload's read volume (Table 1 arithmetic), the
-// rebuild floor from drive geometry (§6.2), sweeps scrub periods, and
-// prints the resulting 5-year DDF risk for each combination.
+// defect rate from the workload's read volume (Table 1 arithmetic), takes
+// the §6.2 rebuild and scrub minimums for a 500 GB SATA drive from
+// package analytic, sweeps scrub periods, and prints the resulting 5-year
+// DDF risk for each combination.
 //
 //	go run ./examples/scrubtuning
 package main
@@ -12,10 +13,9 @@ import (
 	"log"
 	"os"
 
+	"raidrel/internal/analytic"
 	"raidrel/internal/core"
-	"raidrel/internal/hdd"
 	"raidrel/internal/report"
-	"raidrel/internal/scrub"
 	"raidrel/internal/workload"
 )
 
@@ -31,7 +31,6 @@ func run() error {
 		mission    = 5 * 8760 // 5 years
 		iterations = 1500
 	)
-	drive := hdd.SATA500GB
 	profiles := []workload.Profile{workload.Archive, workload.Nearline, workload.Transactional}
 	periods := []float64{0, 336, 168, 48, 12}
 
@@ -42,29 +41,36 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		restore, err := drive.RestoreSpec(groupSize, prof.ForegroundShare, 2)
+		// A 500 GB drive streaming 50 MB/s on a 1.5 Gb/s SATA link.
+		drive := analytic.RebuildInput{
+			CapacityBytes:   500 * analytic.GB,
+			DriveRateBps:    analytic.FCDriveRate,
+			BusRateBps:      analytic.SATA15Gb,
+			GroupSize:       groupSize,
+			ForegroundShare: prof.ForegroundShare,
+		}
+		rebuildFloor, err := analytic.MinRebuildHours(drive)
 		if err != nil {
 			return err
 		}
+		scrubFloor, err := analytic.MinScrubHours(drive)
+		if err != nil {
+			return err
+		}
+		// Restore: the rebuild floor plus a 2 h service delay, right-skewed
+		// (shape 2) with twice that as its scale.
+		restore := rebuildFloor + 2
 		for _, period := range periods {
 			p := core.Params{
-				GroupSize:    groupSize,
-				Redundancy:   1,
-				MissionHours: mission,
-				TTOp:         core.WeibullSpec{Scale: core.BaseMTBFHours, Shape: 1.12},
-				TTR: core.WeibullSpec{
-					Location: restore.Location(),
-					Scale:    restore.Scale(),
-					Shape:    restore.Shape(),
-				},
+				GroupSize:     groupSize,
+				Redundancy:    1,
+				MissionHours:  mission,
+				TTOp:          core.WeibullSpec{Scale: core.BaseMTBFHours, Shape: 1.12},
+				TTR:           core.WeibullSpec{Location: restore, Scale: 2 * restore, Shape: 2},
 				LatentDefects: true,
 				TTLd:          core.WeibullSpec{Scale: 1 / rate, Shape: 1},
-			}
-			policy := scrub.Policy{PeriodHours: period, Drive: &drive, ForegroundShare: prof.ForegroundShare}
-			p, err := policy.Apply(p)
-			if err != nil {
-				return err
-			}
+				TTScrub:       core.WeibullSpec{Location: scrubFloor},
+			}.WithScrubPeriod(period)
 			model, err := core.New(p)
 			if err != nil {
 				return err
@@ -79,7 +85,7 @@ func run() error {
 			}
 			table.AddRow(prof.Name,
 				fmt.Sprintf("%.2e", rate),
-				fmt.Sprintf("%.1f", restore.Location()),
+				fmt.Sprintf("%.1f", restore),
 				label,
 				fmt.Sprintf("%.1f", res.DDFsPer1000GroupsAt(mission)),
 			)

@@ -266,6 +266,10 @@ func BaseCase() Params {
 
 // WithScrubPeriod returns a copy of p scrubbing with characteristic period
 // hours (Fig. 9's 12/48/168/336-hour sweep); hours <= 0 disables scrubbing.
+// It is the one home of the §6.4 TTScrub rule: shape 3, and as location
+// the preset p.TTScrub.Location (a drive's minimum scrub pass, say), 6 h
+// when unset, halved when it reaches the period. A non-finite period is
+// left for New to reject.
 func (p Params) WithScrubPeriod(hours float64) Params {
 	if hours <= 0 {
 		p.Scrub = false

@@ -51,17 +51,68 @@ func TestParamVariantHelpers(t *testing.T) {
 	if !p.LatentDefects {
 		t.Error("variant helper mutated the receiver")
 	}
-	fast := p.WithScrubPeriod(12)
-	if !fast.Scrub || fast.TTScrub.Scale != 12 {
-		t.Errorf("WithScrubPeriod(12) = %+v", fast.TTScrub)
+	// WithScrubPeriod keeps a preset location (such as a drive-derived
+	// minimum scrub pass), defaults an unset one to 6 h, and halves one
+	// that reaches the period; the shape is always 3. Each subtest holds
+	// the rows of one part of the rule.
+	const driveScrub = 500e9 / (50e6 * 0.5) / 3600 // 500 GB at 25 MB/s effective
+	type row struct {
+		name         string
+		loc, period  float64
+		wantLocation float64
 	}
-	if fast.TTScrub.Location >= 12 {
-		t.Errorf("scrub location %v not below period", fast.TTScrub.Location)
+	checkRows := func(t *testing.T, rows []row) {
+		t.Helper()
+		for _, c := range rows {
+			q := p
+			q.TTScrub = WeibullSpec{Location: c.loc}
+			got := q.WithScrubPeriod(c.period)
+			want := WeibullSpec{Location: c.wantLocation, Scale: c.period, Shape: 3}
+			if !got.Scrub || got.TTScrub != want {
+				t.Errorf("%s: WithScrubPeriod(%v) = %+v (scrub %v), want %+v",
+					c.name, c.period, got.TTScrub, got.Scrub, want)
+			}
+			if _, err := New(got); err != nil {
+				t.Errorf("%s: model rejected %+v: %v", c.name, got.TTScrub, err)
+			}
+		}
 	}
-	none := p.WithScrubPeriod(0)
-	if none.Scrub {
-		t.Error("WithScrubPeriod(0) should disable scrubbing")
-	}
+	t.Run("periodic_policy", func(t *testing.T) {
+		checkRows(t, []row{
+			{"base case", 6, 12, 6},
+			{"unset location defaults to 6 h (168 h period)", 0, 168, 6},
+			{"unset location defaults to 6 h (48 h period)", 0, 48, 6},
+		})
+		if got := p.WithScrubPeriod(48); !got.Scrub || got.TTScrub.Scale != 48 {
+			t.Errorf("base case at 48 h = %+v (scrub %v)", got.TTScrub, got.Scrub)
+		}
+	})
+	t.Run("disabled_policy", func(t *testing.T) {
+		for _, period := range []float64{0, -24} {
+			if p.WithScrubPeriod(period).Scrub {
+				t.Errorf("WithScrubPeriod(%v) should disable scrubbing", period)
+			}
+		}
+	})
+	t.Run("aggressive_period_keeps_location_below_scale", func(t *testing.T) {
+		checkRows(t, []row{
+			{"location at the period halved", 48, 48, 24},
+			{"default above the period halved", 0, 4, 2},
+		})
+	})
+	t.Run("drive_derived_minimum", func(t *testing.T) {
+		checkRows(t, []row{
+			{"preset location kept", driveScrub, 168, driveScrub},
+		})
+	})
+	t.Run("non_finite_period_rejected", func(t *testing.T) {
+		// A non-finite period passes the sign check; New must reject it.
+		for _, period := range []float64{math.NaN(), math.Inf(1)} {
+			if _, err := New(p.WithScrubPeriod(period)); err == nil {
+				t.Errorf("New accepted scrub period %v", period)
+			}
+		}
+	})
 	b := p.WithOpShape(0.8)
 	if b.TTOp.Shape != 0.8 || b.TTOp.Scale != p.TTOp.Scale {
 		t.Errorf("WithOpShape = %+v", b.TTOp)

@@ -1,8 +1,9 @@
 // Package dist implements the lifetime distributions used by the RAID
 // reliability model: the three-parameter Weibull family the paper fits to
 // field data, plus the exponential (the distribution the MTTDL method
-// implicitly assumes), and supporting families for building mixed and
-// competing-risk field populations.
+// implicitly assumes), the truncated normal of the §6.4 scrub-shape
+// ablation, and the mixture and competing-risk constructions behind the
+// Figs. 1-2 field populations.
 //
 // All sampling is by inverse-CDF transform against the package rng
 // substrate, so every draw is reproducible from a seed.

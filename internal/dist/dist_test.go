@@ -56,154 +56,6 @@ func TestExponentialFromMean(t *testing.T) {
 	}
 }
 
-func TestLogNormalBasics(t *testing.T) {
-	l := MustLogNormal(2, 0.5)
-	if !almostEqual(l.Mean(), math.Exp(2+0.125), 1e-12) {
-		t.Errorf("Mean = %v", l.Mean())
-	}
-	// Median is exp(mu).
-	if !almostEqual(l.Quantile(0.5), math.Exp(2), 1e-9) {
-		t.Errorf("median = %v, want %v", l.Quantile(0.5), math.Exp(2))
-	}
-	for _, p := range []float64{0.001, 0.1, 0.5, 0.9, 0.999} {
-		if !almostEqual(l.CDF(l.Quantile(p)), p, 1e-10) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, l.CDF(l.Quantile(p)))
-		}
-	}
-}
-
-func TestLogNormalSampleMoments(t *testing.T) {
-	l := MustLogNormal(1, 0.25)
-	r := rng.New(5)
-	const n = 300000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += l.Sample(r)
-	}
-	if !almostEqual(sum/n, l.Mean(), 0.01) {
-		t.Errorf("sample mean %v vs analytic %v", sum/n, l.Mean())
-	}
-}
-
-func TestStdNormalQuantileAccuracy(t *testing.T) {
-	// Known values of the standard normal inverse CDF.
-	cases := []struct{ p, z float64 }{
-		{0.5, 0},
-		{0.8413447460685429, 1},
-		{0.9772498680518208, 2},
-		{0.0013498980316300933, -3},
-		{0.9999683287581669, 4},
-	}
-	for _, c := range cases {
-		if got := stdNormalQuantile(c.p); math.Abs(got-c.z) > 1e-9 {
-			t.Errorf("Φ⁻¹(%v) = %v, want %v", c.p, got, c.z)
-		}
-	}
-	if !math.IsInf(stdNormalQuantile(0), -1) || !math.IsInf(stdNormalQuantile(1), 1) {
-		t.Error("quantile edges not infinite")
-	}
-}
-
-func TestUniformBasics(t *testing.T) {
-	u := MustUniform(2, 10)
-	if u.Mean() != 6 {
-		t.Errorf("Mean = %v", u.Mean())
-	}
-	if !almostEqual(u.Variance(), 64.0/12, 1e-12) {
-		t.Errorf("Variance = %v", u.Variance())
-	}
-	if u.CDF(1) != 0 || u.CDF(11) != 1 || u.CDF(6) != 0.5 {
-		t.Error("uniform CDF wrong")
-	}
-	if u.Quantile(0.25) != 4 {
-		t.Errorf("Quantile(0.25) = %v", u.Quantile(0.25))
-	}
-	if _, err := NewUniform(5, 5); err == nil {
-		t.Error("degenerate uniform accepted")
-	}
-	r := rng.New(3)
-	for i := 0; i < 10000; i++ {
-		if v := u.Sample(r); v < 2 || v >= 10 {
-			t.Fatalf("sample %v out of [2,10)", v)
-		}
-	}
-}
-
-func TestDeterministicBasics(t *testing.T) {
-	d := MustDeterministic(6)
-	if d.Mean() != 6 || d.Variance() != 0 {
-		t.Error("deterministic moments wrong")
-	}
-	if d.CDF(5.99) != 0 || d.CDF(6) != 1 {
-		t.Error("deterministic CDF wrong")
-	}
-	if d.Sample(rng.New(1)) != 6 {
-		t.Error("deterministic sample wrong")
-	}
-	if _, err := NewDeterministic(-1); err == nil {
-		t.Error("negative deterministic accepted")
-	}
-}
-
-func TestGammaBasics(t *testing.T) {
-	g := MustGamma(3, 2)
-	if !almostEqual(g.Mean(), 6, 1e-12) {
-		t.Errorf("Mean = %v", g.Mean())
-	}
-	if !almostEqual(g.Variance(), 12, 1e-12) {
-		t.Errorf("Variance = %v", g.Variance())
-	}
-	// Gamma(1, θ) is Exponential(1/θ).
-	g1 := MustGamma(1, 5)
-	e := MustExponential(0.2)
-	for _, tt := range []float64{0.5, 1, 5, 20} {
-		if !almostEqual(g1.CDF(tt), e.CDF(tt), 1e-10) {
-			t.Errorf("Gamma(1,5).CDF(%v) = %v, want %v", tt, g1.CDF(tt), e.CDF(tt))
-		}
-	}
-	// Erlang: Gamma(2,1) CDF at t is 1 - e^-t (1 + t).
-	g2 := MustGamma(2, 1)
-	for _, tt := range []float64{0.5, 1, 3, 10} {
-		want := 1 - math.Exp(-tt)*(1+tt)
-		if !almostEqual(g2.CDF(tt), want, 1e-9) {
-			t.Errorf("Erlang2 CDF(%v) = %v, want %v", tt, g2.CDF(tt), want)
-		}
-	}
-}
-
-func TestGammaQuantileInvertsCDF(t *testing.T) {
-	g := MustGamma(2.5, 4)
-	for _, p := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
-		if got := g.CDF(g.Quantile(p)); !almostEqual(got, p, 1e-8) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
-func TestGammaSampleMoments(t *testing.T) {
-	r := rng.New(7)
-	for _, g := range []Gamma{MustGamma(0.5, 2), MustGamma(1, 1), MustGamma(4, 3)} {
-		const n = 300000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			v := g.Sample(r)
-			if v < 0 {
-				t.Fatalf("%v: negative sample %v", g, v)
-			}
-			sum += v
-			sumSq += v * v
-		}
-		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if !almostEqual(mean, g.Mean(), 0.02) {
-			t.Errorf("%v: sample mean %v vs %v", g, mean, g.Mean())
-		}
-		if !almostEqual(variance, g.Variance(), 0.05) {
-			t.Errorf("%v: sample variance %v vs %v", g, variance, g.Variance())
-		}
-	}
-}
-
 func TestMixtureBasics(t *testing.T) {
 	// Even mixture of two exponentials.
 	a, b := MustExponential(1), MustExponential(0.1)
@@ -317,48 +169,6 @@ func TestCompetingRisksSample(t *testing.T) {
 	}
 }
 
-func TestEmpiricalBasics(t *testing.T) {
-	e := MustEmpirical([]float64{10, 20, 30, 40})
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-	if e.Mean() != 25 {
-		t.Errorf("Mean = %v", e.Mean())
-	}
-	if e.CDF(5) != 0 || e.CDF(40) != 1 {
-		t.Error("empirical CDF edges wrong")
-	}
-	if got := e.CDF(25); !almostEqual(got, 0.625, 1e-12) {
-		t.Errorf("CDF(25) = %v, want 0.625", got)
-	}
-	if got := e.Quantile(0.5); !almostEqual(got, 25, 1e-12) {
-		t.Errorf("median = %v, want 25", got)
-	}
-	if _, err := NewEmpirical([]float64{1}); err == nil {
-		t.Error("single observation accepted")
-	}
-	if _, err := NewEmpirical([]float64{1, -2}); err == nil {
-		t.Error("negative observation accepted")
-	}
-}
-
-func TestEmpiricalRoundTripsSample(t *testing.T) {
-	// Build an empirical dist from Weibull draws; its quantiles should be
-	// close to the source distribution's.
-	w := MustWeibull(1.12, 461386, 0)
-	r := rng.New(21)
-	sample := make([]float64, 50000)
-	for i := range sample {
-		sample[i] = w.Sample(r)
-	}
-	e := MustEmpirical(sample)
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		if !almostEqual(e.Quantile(p), w.Quantile(p), 0.03) {
-			t.Errorf("p=%v: empirical %v vs weibull %v", p, e.Quantile(p), w.Quantile(p))
-		}
-	}
-}
-
 func TestSurvivalClamps(t *testing.T) {
 	w := MustWeibull(1, 1, 0)
 	if Survival(w, -5) != 1 {
@@ -370,11 +180,11 @@ func TestSurvivalClamps(t *testing.T) {
 }
 
 func TestHazardFallbackPath(t *testing.T) {
-	// LogNormal does not implement Hazarder, so Hazard uses f/(1-F).
-	l := MustLogNormal(0, 1)
+	// Normal does not implement Hazarder, so Hazard uses f/(1-F).
+	n := MustNormal(0, 1)
 	tt := 1.5
-	want := l.PDF(tt) / (1 - l.CDF(tt))
-	if got := Hazard(l, tt); !almostEqual(got, want, 1e-12) {
+	want := n.PDF(tt) / (1 - n.CDF(tt))
+	if got := Hazard(n, tt); !almostEqual(got, want, 1e-12) {
 		t.Errorf("Hazard = %v, want %v", got, want)
 	}
 }

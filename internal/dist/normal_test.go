@@ -134,3 +134,22 @@ func TestTruncatedVarianceFinite(t *testing.T) {
 		t.Errorf("truncated variance %v should be positive and below the base variance", v)
 	}
 }
+
+func TestStdNormalQuantileAccuracy(t *testing.T) {
+	// Known values of the standard normal inverse CDF.
+	cases := []struct{ p, z float64 }{
+		{0.5, 0},
+		{0.8413447460685429, 1},
+		{0.9772498680518208, 2},
+		{0.0013498980316300933, -3},
+		{0.9999683287581669, 4},
+	}
+	for _, c := range cases {
+		if got := stdNormalQuantile(c.p); math.Abs(got-c.z) > 1e-9 {
+			t.Errorf("Φ⁻¹(%v) = %v, want %v", c.p, got, c.z)
+		}
+	}
+	if !math.IsInf(stdNormalQuantile(0), -1) || !math.IsInf(stdNormalQuantile(1), 1) {
+		t.Error("quantile edges not infinite")
+	}
+}

@@ -177,6 +177,14 @@ func TestHTTPErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec = %d", resp.StatusCode)
 	}
+	// An iteration count past the job cap: one slice of a 4.2·10^18-
+	// iteration campaign would run for millennia.
+	resp = postJSON(t, ts.URL+"/v1/jobs", JobSpec{Params: fastParams(), Seed: 1,
+		Iterations: 4239093734707132571, Shard: &Shard{Index: 18, Count: 62}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-iteration spec = %d, want 400", 4239093734707132571, resp.StatusCode)
+	}
 
 	getJSON(t, ts.URL+"/v1/jobs/j999999", http.StatusNotFound, nil)
 	getJSON(t, ts.URL+"/v1/jobs/j999999/result", http.StatusNotFound, nil)

@@ -112,8 +112,16 @@ func (js JobSpec) campaignSpec() (campaign.Spec, error) {
 	return spec, nil
 }
 
+// maxJobIterations caps a job's iteration count (a sharded job's total
+// N included). 2^40 groups take about a month at ~4·10^5 groups/s, so a
+// larger count would hold a scheduler slot longer than the daemon runs.
+const maxJobIterations = 1 << 40
+
 // Validate rejects specs that could not run or could not merge.
 func (js JobSpec) Validate() error {
+	if js.Iterations > maxJobIterations {
+		return fmt.Errorf("service: %d iterations exceeds the %d-iteration job cap", js.Iterations, maxJobIterations)
+	}
 	if s := js.Shard; s != nil {
 		if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
 			return fmt.Errorf("service: shard %d/%d invalid", s.Index, s.Count)

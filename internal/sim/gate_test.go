@@ -127,7 +127,7 @@ func TestDefaultEngine(t *testing.T) {
 		}, EventEngine{}},
 		{"uncompiled slot", func(c *Config) {
 			c.SlotTTOp = make([]dist.Distribution, c.Drives)
-			c.SlotTTOp[3] = dist.MustLogNormal(10, 1)
+			c.SlotTTOp[3] = dist.MustTruncated(dist.MustNormal(2e5, 5e4), 0, 1e6)
 		}, EventEngine{}},
 	}
 	for _, c := range cases {

@@ -2,8 +2,9 @@
 // The paper's §6.3 derives the hourly data-corruption rate as the product
 // of a read-error rate (errors per byte, measured across NetApp fleet
 // studies) and an hourly read volume; Table 1 tabulates the grid. This
-// package reproduces that derivation and turns any cell of it into the
-// TTLd distribution scale the simulator consumes.
+// package reproduces that derivation, names the workload profiles the
+// examples sweep, and gives a busy/idle duty cycle's time-varying defect
+// rate.
 package workload
 
 import (
@@ -40,17 +41,6 @@ func DefectRate(errorsPerByte, bytesPerHour float64) (float64, error) {
 		return 0, fmt.Errorf("workload: bytes/hour must be positive, got %v", bytesPerHour)
 	}
 	return errorsPerByte * bytesPerHour, nil
-}
-
-// MeanTimeToDefect returns the TTLd characteristic life (hours) implied by
-// the rate: with the paper's β = 1 the process is Poisson and the scale is
-// the reciprocal rate.
-func MeanTimeToDefect(errorsPerByte, bytesPerHour float64) (float64, error) {
-	rate, err := DefectRate(errorsPerByte, bytesPerHour)
-	if err != nil {
-		return 0, err
-	}
-	return 1 / rate, nil
 }
 
 // RateCell is one entry of Table 1.
@@ -91,18 +81,6 @@ func Table1() []RateCell {
 		}
 	}
 	return out
-}
-
-// BaseCaseCell returns the Table 1 cell the base case uses (medium RER at
-// the low read volume: 1.08e-4 errors per hour).
-func BaseCaseCell() RateCell {
-	return RateCell{
-		RERName:       "medium",
-		RER:           RERMedium,
-		ReadRateName:  "low",
-		BytesPerHour:  ReadRateLow,
-		ErrorsPerHour: RERMedium * ReadRateLow,
-	}
 }
 
 // Profile describes a sustained IO mix for rebuild/scrub interference

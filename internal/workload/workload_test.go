@@ -22,19 +22,6 @@ func TestDefectRate(t *testing.T) {
 	}
 }
 
-func TestMeanTimeToDefect(t *testing.T) {
-	mt, err := MeanTimeToDefect(RERMedium, ReadRateLow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mt-9259.26) > 0.1 {
-		t.Errorf("mean time = %v, want ~9259", mt)
-	}
-	if _, err := MeanTimeToDefect(-1, 1); err == nil {
-		t.Error("negative RER accepted")
-	}
-}
-
 // Table 1 reproduces the paper's six-cell grid exactly.
 func TestTable1Grid(t *testing.T) {
 	cells := Table1()
@@ -60,16 +47,6 @@ func TestTable1Grid(t *testing.T) {
 		if math.Abs(c.ErrorsPerHour-w.rate)/w.rate > 1e-9 {
 			t.Errorf("cell %d rate = %v, want %v", i, c.ErrorsPerHour, w.rate)
 		}
-	}
-}
-
-func TestBaseCaseCell(t *testing.T) {
-	c := BaseCaseCell()
-	if c.RERName != "medium" || c.ReadRateName != "low" {
-		t.Errorf("base cell = %s/%s", c.RERName, c.ReadRateName)
-	}
-	if math.Abs(c.ErrorsPerHour-1.08e-4) > 1e-9 {
-		t.Errorf("base rate = %v", c.ErrorsPerHour)
 	}
 }
 
