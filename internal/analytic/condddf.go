@@ -192,57 +192,6 @@ func LiveDefectMean(rate float64, survival func(float64) float64, kinks []float6
 	}
 }
 
-// LiveDefectMeanNHPP is LiveDefectMean for a non-homogeneous Poisson
-// defect process with instantaneous rate λ(u), clamped to [0, rateMax]
-// exactly as the simulator's thinning sampler clamps it:
-//
-//	μ(t) = ∫_0^t λ̃(u)·S(t-u) du.
-//
-// Kinks of S map to breakpoints t-k in the arrival variable; kinks of a
-// caller-supplied λ are unknown and integrate at composite-rule accuracy.
-func LiveDefectMeanNHPP(rate func(float64) float64, rateMax float64, survival func(float64) float64, kinks []float64, support float64) func(float64) float64 {
-	clamped := func(u float64) float64 {
-		r := rate(u)
-		if r < 0 {
-			return 0
-		}
-		if r > rateMax {
-			return rateMax
-		}
-		return r
-	}
-	return func(t float64) float64 {
-		if !(t > 0) {
-			return 0
-		}
-		lo := 0.0
-		if math.IsInf(support, 1) == false && t-support > 0 {
-			lo = t - support // arrivals older than the defect lifetime are dead
-		}
-		breaks := make([]float64, 0, len(kinks)+2)
-		breaks = append(breaks, lo)
-		for _, k := range kinks {
-			if a := t - k; a > lo && a < t {
-				breaks = append(breaks, a)
-			}
-		}
-		breaks = append(breaks, t)
-		sortFloats(breaks)
-		f := func(a float64) float64 {
-			lam := clamped(a)
-			if survival == nil {
-				return lam
-			}
-			return lam * survival(t-a)
-		}
-		total := 0.0
-		for i := 1; i < len(breaks); i++ {
-			total += glComposite(f, breaks[i-1], breaks[i], 4)
-		}
-		return total
-	}
-}
-
 // gl16 holds the positive half of the 16-point Gauss–Legendre rule on
 // [-1, 1]; nodes mirror with equal weights.
 var gl16 = [8][2]float64{

@@ -150,26 +150,3 @@ func TestLiveDefectMeanClosedForm(t *testing.T) {
 		t.Errorf("mu past support not constant: %v vs %v", a, b)
 	}
 }
-
-// TestLiveDefectMeanNHPPConstantRate: a constant-rate NHPP must reproduce
-// the homogeneous LiveDefectMean.
-func TestLiveDefectMeanNHPPConstantRate(t *testing.T) {
-	rate, tau := 2e-4, 400.0
-	surv := func(u float64) float64 { return math.Exp(-u / tau) }
-	homo := LiveDefectMean(rate, surv, nil, math.Inf(1))
-	nhpp := LiveDefectMeanNHPP(func(float64) float64 { return rate }, rate, surv, nil, math.Inf(1))
-	for _, tt := range []float64{1, 50, 500, 5000} {
-		a, b := homo(tt), nhpp(tt)
-		if math.Abs(a-b) > 1e-9*(1+a) {
-			t.Errorf("mu(%v): homogeneous %v vs NHPP %v", tt, a, b)
-		}
-	}
-	// The clamp must mirror the sampler: a rate spiking above rateMax is
-	// cut to rateMax, so μ is bounded by rateMax·∫S.
-	spiky := LiveDefectMeanNHPP(func(float64) float64 { return 10 * rate }, rate, surv, nil, math.Inf(1))
-	for _, tt := range []float64{100, 2000} {
-		if a, b := spiky(tt), homo(tt); math.Abs(a-b) > 1e-9*(1+b) {
-			t.Errorf("clamped NHPP mu(%v) = %v, want %v", tt, a, b)
-		}
-	}
-}

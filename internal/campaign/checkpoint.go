@@ -117,8 +117,7 @@ func (s Spec) resumeEngine(fp string) (sim.Engine, error) {
 // that wrote it. The same digest keys the raidreld result cache and shard
 // manifests: one config identity shared by every layer that must agree on
 // "is this the same campaign?". Distribution parameters are captured via
-// their value formatting; a custom NHPP rate function cannot be hashed, so
-// only its presence and declared bound participate.
+// their value formatting.
 //
 // The digest is stable across releases (pinned by TestFingerprintStability):
 // changing it would silently orphan every on-disk checkpoint and cached
@@ -131,7 +130,10 @@ func (s Spec) Fingerprint() string {
 		cfg.Drives, cfg.Redundancy, cfg.Mission, s.Seed, s.engineName())
 	fmt.Fprintf(h, "ttop=%v;ttr=%v;ttld=%v;ttscrub=%v;",
 		cfg.Trans.TTOp, cfg.Trans.TTR, cfg.Trans.TTLd, cfg.Trans.TTScrub)
-	fmt.Fprintf(h, "nhpp=%t;nhppmax=%g;", cfg.Trans.TTLdRate != nil, cfg.Trans.TTLdRateMax)
+	// Literal bytes of a retired defect process's fields (a time-varying
+	// rate and its bound), as they printed when unset: every cache key and
+	// on-disk checkpoint written while they existed stays valid.
+	fmt.Fprint(h, "nhpp=false;nhppmax=0;")
 	fmt.Fprintf(h, "slots=%v;spares=%v;", cfg.SlotTTOp, cfg.Spares)
 	if cfg.Bias.Enabled() {
 		// Included only when biasing is on: checkpoints written before the

@@ -43,6 +43,36 @@ func TestFingerprintStability(t *testing.T) {
 			t.Errorf("engine %T: fingerprint changed: got %s, want %s (cache keys and checkpoints would be orphaned)", c.engine, got, c.want)
 		}
 	}
+
+	// The paper's Table 2 base case, latent defects and scrubbing on: the
+	// configuration behind every real checkpoint and cache key.
+	base := Spec{
+		Config: sim.Config{
+			Drives:     8,
+			Redundancy: 1,
+			Mission:    87600,
+			Trans: sim.Transitions{
+				TTOp:    dist.MustWeibull(1.12, 461386, 0),
+				TTR:     dist.MustWeibull(2, 12, 6),
+				TTLd:    dist.MustWeibull(1, 9259, 0),
+				TTScrub: dist.MustWeibull(3, 168, 6),
+			},
+		},
+		Seed: 42,
+	}
+	for _, c := range []struct {
+		engine sim.Engine
+		want   string
+	}{
+		{sim.EventEngine{}, "c211c3e2d0e4463f"},
+		{nil, "9d83ec942951d67e"},
+		{sim.BlockEngine{}, "9d83ec942951d67e"},
+	} {
+		base.Engine = c.engine
+		if got := base.Fingerprint(); got != c.want {
+			t.Errorf("base case, engine %T: fingerprint changed: got %s, want %s (cache keys and checkpoints would be orphaned)", c.engine, got, c.want)
+		}
+	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {

@@ -70,9 +70,3 @@ func Hazard(d Distribution, t float64) float64 {
 	}
 	return f / s
 }
-
-// sampleByInversion draws by the inverse-CDF transform using an open-interval
-// uniform so Quantile never sees p = 0 or p = 1.
-func sampleByInversion(d Distribution, r *rng.RNG) float64 {
-	return d.Quantile(r.Float64Open())
-}

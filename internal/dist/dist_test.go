@@ -188,18 +188,3 @@ func TestHazardFallbackPath(t *testing.T) {
 		t.Errorf("Hazard = %v, want %v", got, want)
 	}
 }
-
-func TestSampleByInversionAgreesWithSample(t *testing.T) {
-	// Inversion sampling from the Weibull should give the same moments as
-	// the direct sampler (both are exact).
-	w := MustWeibull(2, 12, 6)
-	r := rng.New(31)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += sampleByInversion(w, r)
-	}
-	if !almostEqual(sum/n, w.Mean(), 0.01) {
-		t.Errorf("inversion mean %v vs analytic %v", sum/n, w.Mean())
-	}
-}

@@ -145,26 +145,42 @@ func (t Truncated) Quantile(p float64) float64 {
 	}
 }
 
+// span is the window Mean and Variance integrate over: [lo, hi] with an
+// infinite bound clipped to the truncated law's own 1e-9 or 1-1e-9
+// quantile, as survivalMean clips an unbounded support.
+func (t Truncated) span() (lo, hi float64) {
+	lo, hi = t.lo, t.hi
+	if math.IsInf(lo, -1) {
+		lo = t.Quantile(1e-9)
+	}
+	if math.IsInf(hi, 1) {
+		hi = t.Quantile(1 - 1e-9)
+	}
+	return lo, hi
+}
+
 // Mean integrates the survival function over the window.
 func (t Truncated) Mean() float64 {
 	// E[T] = lo + ∫_{lo}^{hi} S(x) dx for the truncated variable.
+	lo, hi := t.span()
 	const n = 20000
-	h := (t.hi - t.lo) / n
-	sum := 0.5 * (Survival(t, t.lo) + Survival(t, t.hi))
+	h := (hi - lo) / n
+	sum := 0.5 * (Survival(t, lo) + Survival(t, hi))
 	for i := 1; i < n; i++ {
-		sum += Survival(t, t.lo+float64(i)*h)
+		sum += Survival(t, lo+float64(i)*h)
 	}
-	return t.lo + sum*h
+	return lo + sum*h
 }
 
 // Variance integrates numerically.
 func (t Truncated) Variance() float64 {
 	m := t.Mean()
+	lo, hi := t.span()
 	const n = 20000
-	h := (t.hi - t.lo) / n
+	h := (hi - lo) / n
 	var sum float64
 	for i := 0; i <= n; i++ {
-		x := t.lo + float64(i)*h
+		x := lo + float64(i)*h
 		w := 1.0
 		if i == 0 || i == n {
 			w = 0.5

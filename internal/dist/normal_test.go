@@ -135,6 +135,37 @@ func TestTruncatedVarianceFinite(t *testing.T) {
 	}
 }
 
+// TestTruncatedInfiniteBounds checks Mean and Variance of a normal
+// truncated on one side against the closed forms: for N(μ, σ²) on
+// [a, +Inf) with α = (a-μ)/σ and λ = φ(α)/(1-Φ(α)), the mean is μ + σλ and
+// the variance σ²(1 + αλ - λ²); on (-Inf, b] with β = (b-μ)/σ and
+// λ = φ(β)/Φ(β), the mean is μ - σλ and the variance σ²(1 - βλ - λ²).
+func TestTruncatedInfiniteBounds(t *testing.T) {
+	const mu, sigma = 2e5, 5e4
+	phi := func(z float64) float64 { return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) }
+	alpha := (0 - mu) / sigma
+	lamLo := phi(alpha) / (1 - stdNormalCDF(alpha))
+	beta := (2e5 - mu) / sigma
+	lamHi := phi(beta) / stdNormalCDF(beta)
+	for _, c := range []struct {
+		name              string
+		tr                Truncated
+		wantMean, wantVar float64
+	}{
+		{"[0, +Inf)", MustTruncated(MustNormal(mu, sigma), 0, math.Inf(1)),
+			mu + sigma*lamLo, sigma * sigma * (1 + alpha*lamLo - lamLo*lamLo)},
+		{"(-Inf, 2e5]", MustTruncated(MustNormal(mu, sigma), math.Inf(-1), 2e5),
+			mu - sigma*lamHi, sigma * sigma * (1 - beta*lamHi - lamHi*lamHi)},
+	} {
+		if got := c.tr.Mean(); math.Abs(got-c.wantMean) > 1e-4*c.wantMean {
+			t.Errorf("%s: mean = %v, want %v", c.name, got, c.wantMean)
+		}
+		if got := c.tr.Variance(); math.Abs(got-c.wantVar) > 1e-4*c.wantVar {
+			t.Errorf("%s: variance = %v, want %v", c.name, got, c.wantVar)
+		}
+	}
+}
+
 func TestStdNormalQuantileAccuracy(t *testing.T) {
 	// Known values of the standard normal inverse CDF.
 	cases := []struct{ p, z float64 }{

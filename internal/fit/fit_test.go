@@ -179,64 +179,6 @@ func TestLinearFitValidation(t *testing.T) {
 	}
 }
 
-func TestKaplanMeierTextbook(t *testing.T) {
-	// Classic example: failures at 6 (3 of them), 7, 10, 13, 16, 22, 23;
-	// censorings at 6, 9, 10, 11, 17, 19, 20, 25, 32, 32, 34, 35 (n=21,
-	// the Freireich 6-MP arm).
-	obs := []Observation{
-		{Time: 6}, {Time: 6}, {Time: 6}, {Time: 6, Censored: true},
-		{Time: 7}, {Time: 9, Censored: true}, {Time: 10}, {Time: 10, Censored: true},
-		{Time: 11, Censored: true}, {Time: 13}, {Time: 16}, {Time: 17, Censored: true},
-		{Time: 19, Censored: true}, {Time: 20, Censored: true}, {Time: 22}, {Time: 23},
-		{Time: 25, Censored: true}, {Time: 32, Censored: true}, {Time: 32, Censored: true},
-		{Time: 34, Censored: true}, {Time: 35, Censored: true},
-	}
-	km, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Published values: S(6)=0.857, S(7)=0.807, S(10)=0.753, S(13)=0.690,
-	// S(16)=0.627, S(22)=0.538, S(23)=0.448.
-	want := map[float64]float64{6: 0.857, 7: 0.807, 10: 0.753, 13: 0.690, 16: 0.627, 22: 0.538, 23: 0.448}
-	for _, p := range km {
-		if w, ok := want[p.Time]; ok {
-			if math.Abs(p.Survival-w) > 0.001 {
-				t.Errorf("S(%v) = %v, want %v", p.Time, p.Survival, w)
-			}
-		}
-	}
-	if SurvivalAt(km, 5) != 1 {
-		t.Error("S before first failure should be 1")
-	}
-	if math.Abs(SurvivalAt(km, 12)-0.753) > 0.001 {
-		t.Errorf("step lookup wrong: %v", SurvivalAt(km, 12))
-	}
-}
-
-func TestKaplanMeierValidation(t *testing.T) {
-	if _, err := KaplanMeier(nil); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	if _, err := KaplanMeier([]Observation{{Time: 0}}); err == nil {
-		t.Error("zero time accepted")
-	}
-}
-
-func TestKaplanMeierMatchesECDFUncensored(t *testing.T) {
-	// Without censoring KM reduces to 1 - ECDF.
-	obs := []Observation{{Time: 1}, {Time: 2}, {Time: 3}, {Time: 4}}
-	km, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range km {
-		want := 1 - float64(i+1)/4
-		if math.Abs(p.Survival-want) > 1e-12 {
-			t.Errorf("S(%v) = %v, want %v", p.Time, p.Survival, want)
-		}
-	}
-}
-
 func TestChangepointDetectsMixedMechanisms(t *testing.T) {
 	// Build an HDD#2-style population: early mechanism Weibull(0.9, 8e5),
 	// late wear-out takes over via competing risk Weibull(3.5, 2.5e4).

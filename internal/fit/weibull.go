@@ -2,7 +2,7 @@
 // paper's Figs. 1-2: Weibull probability plotting with median ranks
 // (Benard's approximation, Johnson rank adjustment for suspensions),
 // median-rank regression, censored maximum-likelihood estimation, and
-// Kaplan-Meier survival estimation. These are the tools that turn field
+// changepoint detection. These are the tools that turn field
 // returns (times to failure plus survivors) into the (β, η) parameters the
 // simulator consumes.
 package fit

@@ -32,18 +32,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableAddFloats(t *testing.T) {
-	tb := NewTable("case", "a", "b")
-	tb.AddFloats("x", "%.2f", 1.234, 5.678)
-	var sb strings.Builder
-	if err := tb.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "1.23") || !strings.Contains(sb.String(), "5.68") {
-		t.Errorf("output = %q", sb.String())
-	}
-}
-
 func TestCSV(t *testing.T) {
 	var sb strings.Builder
 	err := CSV(&sb, "t", []float64{0, 1}, []string{"a", "b"},

@@ -206,34 +206,6 @@ func TestSplitChildEqualsParentPrefix(t *testing.T) {
 	}
 }
 
-func TestStreamsPairwiseDistinct(t *testing.T) {
-	streams := Streams(99, 4)
-	if len(streams) != 4 {
-		t.Fatalf("got %d streams, want 4", len(streams))
-	}
-	const draws = 2000
-	outputs := make([][]uint64, len(streams))
-	for i, s := range streams {
-		outputs[i] = make([]uint64, draws)
-		for j := range outputs[i] {
-			outputs[i][j] = s.Uint64()
-		}
-	}
-	for i := 0; i < len(streams); i++ {
-		for j := i + 1; j < len(streams); j++ {
-			matches := 0
-			for k := 0; k < draws; k++ {
-				if outputs[i][k] == outputs[j][k] {
-					matches++
-				}
-			}
-			if matches > 2 {
-				t.Errorf("streams %d and %d matched on %d of %d draws", i, j, matches, draws)
-			}
-		}
-	}
-}
-
 func TestForStreamIndependence(t *testing.T) {
 	// Distinct stream indices must give distinct sequences; same index must
 	// reproduce exactly.
@@ -272,15 +244,6 @@ func TestForStreamAdjacentIndices(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("adjacent streams matched %d times", same)
-	}
-}
-
-func TestStreamsEdgeCases(t *testing.T) {
-	if s := Streams(1, 0); s != nil {
-		t.Errorf("Streams(_, 0) = %v, want nil", s)
-	}
-	if s := Streams(1, -3); s != nil {
-		t.Errorf("Streams(_, -3) = %v, want nil", s)
 	}
 }
 

@@ -56,18 +56,3 @@ func (r *RNG) SeedStream(seed, stream uint64) {
 	_, h2 := splitMix64(s1 + stream*0x9e3779b97f4a7c15)
 	r.Reseed(h1 ^ h2)
 }
-
-// Streams returns n mutually disjoint generators derived from seed, one per
-// parallel worker. The zeroth stream starts at New(seed); each subsequent
-// stream is 2^128 steps further along.
-func Streams(seed uint64, n int) []*RNG {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]*RNG, 0, n)
-	base := New(seed)
-	for i := 0; i < n; i++ {
-		out = append(out, base.Split())
-	}
-	return out
-}

@@ -22,8 +22,7 @@ type Bias struct {
 	// Ld scales the renewal latent-defect (TTLd) hazard. Use cautiously:
 	// at the paper's parameters defects are not rare (≈9.5 arrivals per
 	// drive-mission), so tilting them inflates weight variance
-	// exponentially in the arrival count and usually hurts. Unsupported
-	// for the NHPP defect process (TTLdRate).
+	// exponentially in the arrival count and usually hurts.
 	Ld float64 `json:"ld,omitempty"`
 }
 
@@ -33,8 +32,8 @@ func (b Bias) Enabled() bool { return b.opEnabled() || b.ldEnabled() }
 func (b Bias) opEnabled() bool { return b.Op != 0 && b.Op != 1 }
 func (b Bias) ldEnabled() bool { return b.Ld != 0 && b.Ld != 1 }
 
-// validate checks the factors in isolation; cross-field rules (NHPP
-// exclusion) live in Config.Validate.
+// validate checks the factors in isolation; cross-field rules (Ld needs
+// TTLd) live in Config.Validate.
 func (b Bias) validate() error {
 	for _, f := range []struct {
 		name string

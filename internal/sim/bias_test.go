@@ -43,11 +43,6 @@ func TestBiasValidation(t *testing.T) {
 			c.Bias.Ld = 3
 			c.Trans.TTLd = dist.MustExponential(1e-4)
 		}, true},
-		{"ld bias with NHPP defects", func(c *Config) {
-			c.Bias.Ld = 3
-			c.Trans.TTLdRate = func(t float64) float64 { return 1e-4 }
-			c.Trans.TTLdRateMax = 1e-4
-		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -252,17 +252,18 @@ func (c *chronology) scheduleDefect(slot int, from float64) {
 	sl := &c.slots[slot]
 	r := c.stream(sl.grp)
 	if c.kern.plainTTLd {
-		// Plain renewal defects: skip nextDefect's process dispatch and
-		// the always-zero likelihood-ratio bookkeeping.
+		// Plain renewal defects: no likelihood-ratio bookkeeping.
 		c.push(event{time: from + c.kern.ttld.Draw(r), kind: evDefectArrive, slot: int32(slot), grp: sl.grp, gen: sl.gen})
 		return
 	}
-	if !c.g.Trans.latentEnabled() {
+	if c.g.Trans.TTLd == nil {
 		return
 	}
-	t, logLR := c.kern.nextDefect(&c.g, from, c.g.Mission, r)
+	// Tilted renewal defects, the likelihood ratio censored at the
+	// mission: push discards arrivals beyond it.
+	dt, logLR := c.kern.ttldTilt.DrawLR(c.g.Mission-from, r)
 	c.logW += logLR
-	c.push(event{time: t, kind: evDefectArrive, slot: int32(slot), grp: sl.grp, gen: sl.gen})
+	c.push(event{time: from + dt, kind: evDefectArrive, slot: int32(slot), grp: sl.grp, gen: sl.gen})
 }
 
 // run executes the chronology: it schedules every slot's first failure

@@ -141,11 +141,6 @@ func digestRuns() []digestRun {
 	biasLd := paperBaseConfig()
 	biasLd.Bias.Ld = 3
 
-	nhpp := fastConfig()
-	nhpp.Trans.TTLdRate = func(t float64) float64 { return 1e-4 * (1 + 0.5*math.Sin(t/1000)) }
-	nhpp.Trans.TTLdRateMax = 1.5e-4
-	nhpp.Trans.TTScrub = dist.MustExponential(1e-2)
-
 	mixed := paperBaseConfig()
 	mixed.SlotTTOp = make([]dist.Distribution, mixed.Drives)
 	mixed.SlotTTOp[0] = dist.MustWeibull(1.12, 200000, 0)
@@ -173,7 +168,6 @@ func digestRuns() []digestRun {
 		{"event/base", RunSpec{Config: paperBaseConfig(), Engine: ev}, 2000, 777},
 		{"event/bias-op8", RunSpec{Config: biasOp, Engine: ev}, 2000, 777},
 		{"event/bias-ld3", RunSpec{Config: biasLd, Engine: ev}, 1000, 377},
-		{"event/nhpp", RunSpec{Config: nhpp, Engine: ev}, 400, 151},
 		{"event/mixed", RunSpec{Config: mixed, Engine: ev}, 2000, 777},
 		{"event/raid6", RunSpec{Config: raid6, Engine: ev}, 400, 151},
 		{"event/spares-0-48", RunSpec{Config: spares0, Engine: ev}, 400, 151},

@@ -67,8 +67,7 @@ import (
 // to a specialized kernel (dist.Kernel.Compiled — Weibull or Exponential,
 // i.e. everything the paper's model uses); generic scripted distributions
 // are rejected. Slots are precomputed independently, so finite spare
-// pools and coupled topologies are rejected too (see gate.go). The NHPP
-// defect process is supported through the same column.
+// pools and coupled topologies are rejected too (see gate.go).
 //
 // Like EventEngine it implements Engine for one-group use; the
 // runner drives the pooled scratch directly, simulating a whole unit of
@@ -196,17 +195,6 @@ func (c *drawCol) nextOpenStrata() float64 {
 	return u
 }
 
-// nextFloat64 returns the next uniform in [0,1), bit-identical to
-// rng.Float64 (no zero-skip) — the NHPP thinning acceptance draw.
-func (c *drawCol) nextFloat64() float64 {
-	if c.pos == colChunk {
-		c.refill()
-	}
-	u := float64(c.u[c.pos]>>11) / (1 << 53)
-	c.pos++
-	return u
-}
-
 // blockDefect is a latent defect with its scrub completion kept lazy: the
 // effective end is min(natural scrub end, cap), where cap starts at the
 // drive's own failure and may be lowered to a concomitant restore by the
@@ -324,7 +312,7 @@ func (sc *blockScratch) prep(cfg *Config) error {
 		return fmt.Errorf("sim: the block engine requires compiled (Weibull or Exponential) kernels, but %s does not compile; use EventEngine", what)
 	}
 	sc.kern.compile(cfg)
-	sc.latent = cfg.Trans.latentEnabled()
+	sc.latent = cfg.Trans.TTLd != nil
 	sc.hasScrub = cfg.Trans.TTScrub != nil
 	sc.scrubDead = math.Inf(1)
 	if sc.hasScrub {
@@ -412,10 +400,7 @@ func (sc *blockScratch) prepCond(cfg *Config) {
 		// live-defect integral saturates there (the mean scrub life).
 		support = k.FromExp(40)
 	}
-	switch {
-	case cfg.Trans.TTLdRate != nil:
-		model.LiveMean = analytic.LiveDefectMeanNHPP(cfg.Trans.TTLdRate, cfg.Trans.TTLdRateMax, surv, kinks, support)
-	case cfg.Trans.TTLd != nil:
+	if cfg.Trans.TTLd != nil {
 		rate, _ := dist.AsPoissonRate(cfg.Trans.TTLd) // Validate gates on ok
 		model.LiveMean = analytic.LiveDefectMean(rate, surv, kinks, support)
 	}
@@ -677,7 +662,7 @@ func (sc *blockScratch) buildSlot(cfg *Config, slot int, ch *blockChronology) (l
 			end = cfg.Mission
 		}
 		if sc.latent {
-			logW += sc.appendDefects(cfg, ch, genStart, end, fail)
+			logW += sc.appendDefects(ch, genStart, end, fail)
 		}
 		if fail > cfg.Mission {
 			break
@@ -737,9 +722,9 @@ func (sc *blockScratch) drawTTOp(cfg *Config, slot int, upFrom float64, gen1 boo
 // appendDefects renewal-samples defect arrivals on [genStart, windowEnd)
 // from the column and records them, truncated at driveFail (the drive's
 // own failure clears its defects); scrub completions stay raw uniforms.
-// Returns the chain's importance-sampling log weight; biased arrivals are
+// Returns the chain's importance-sampling log weight; tilted arrivals are
 // censored at windowEnd, the boundary past which the chain stops.
-func (sc *blockScratch) appendDefects(cfg *Config, ch *blockChronology, genStart, windowEnd, driveFail float64) float64 {
+func (sc *blockScratch) appendDefects(ch *blockChronology, genStart, windowEnd, driveFail float64) float64 {
 	if sc.kern.plainTTLd {
 		if sc.ldRate > 0 {
 			sc.layPoisson(ch, genStart, windowEnd, driveFail)
@@ -748,12 +733,13 @@ func (sc *blockScratch) appendDefects(cfg *Config, ch *blockChronology, genStart
 		}
 		return 0
 	}
+	// Tilted renewal defects (Bias.Ld), one column exponential each.
 	logW := 0.0
 	t := genStart
 	for {
-		next, logLR := sc.nextDefect(cfg, t, windowEnd)
+		dt, logLR := sc.kern.ttldTilt.DrawLRFromExp(sc.col.nextExp(), windowEnd-t)
 		logW += logLR
-		t = next
+		t += dt
 		if t >= windowEnd {
 			return logW
 		}
@@ -945,40 +931,6 @@ func (sc *blockScratch) materialize(ds []blockDefect, di int) float64 {
 		ds[j].start, ds[j].pending = t, materialized
 	}
 	return t
-}
-
-// nextDefect is the column-fed counterpart of cfgKernels.nextDefect for
-// the non-plain processes (NHPP thinning, tilted renewal).
-func (sc *blockScratch) nextDefect(cfg *Config, from, horizon float64) (float64, float64) {
-	switch {
-	case cfg.Trans.TTLdRate != nil:
-		t := from
-		for {
-			t += sc.col.nextExp() / cfg.Trans.TTLdRateMax
-			if t > cfg.Mission {
-				return t, 0 // beyond the horizon; caller discards
-			}
-			rate := cfg.Trans.TTLdRate(t)
-			if rate < 0 || rate > cfg.Trans.TTLdRateMax {
-				if rate < 0 {
-					rate = 0
-				} else {
-					rate = cfg.Trans.TTLdRateMax
-				}
-			}
-			if sc.col.nextFloat64()*cfg.Trans.TTLdRateMax < rate {
-				return t, 0
-			}
-		}
-	case cfg.Trans.TTLd != nil:
-		if sc.kern.biasLd {
-			dt, logLR := sc.kern.ttldTilt.DrawLRFromExp(sc.col.nextExp(), horizon-from)
-			return from + dt, logLR
-		}
-		return from + sc.kern.ttld.FromExp(sc.col.nextExp()), 0
-	default:
-		return math.Inf(1), 0
-	}
 }
 
 // defectLive reports whether the defect covers time t (its start,

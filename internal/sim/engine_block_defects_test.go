@@ -24,7 +24,7 @@ type chainLayout struct {
 // layChain lays the chain of [genStart, windowEnd) on copies of col and r,
 // lazily when lazy is set (the scratch must have chosen the lazy layout in
 // prep) and eagerly otherwise.
-func layChain(sc *blockScratch, cfg *Config, col drawCol, r rng.RNG, lazy bool, genStart, windowEnd float64) chainLayout {
+func layChain(sc *blockScratch, col drawCol, r rng.RNG, lazy bool, genStart, windowEnd float64) chainLayout {
 	rate := sc.ldRate
 	if !lazy {
 		sc.ldRate = 0
@@ -32,7 +32,7 @@ func layChain(sc *blockScratch, cfg *Config, col drawCol, r rng.RNG, lazy bool, 
 	sc.col = col
 	sc.col.r = &r
 	var ch blockChronology
-	sc.appendDefects(cfg, &ch, genStart, windowEnd, windowEnd)
+	sc.appendDefects(&ch, genStart, windowEnd, windowEnd)
 	sc.ldRate = rate
 	out := chainLayout{col: sc.col, rng: r}
 	out.col.r = nil
@@ -144,8 +144,8 @@ func TestBlockDefectChainBand(t *testing.T) {
 				}
 				var r rng.RNG
 				r.SeedStream(uint64(trial), uint64(j+4))
-				lazy := layChain(sc, &cfg, c, r, true, genStart, windowEnd)
-				eager := layChain(sc, &cfg, c, r, false, genStart, windowEnd)
+				lazy := layChain(sc, c, r, true, genStart, windowEnd)
+				eager := layChain(sc, c, r, false, genStart, windowEnd)
 				compareLayouts(t, fmt.Sprint(ttld), lazy, eager)
 				// A band fallback leaves the chain materialized at layout;
 				// it is observable once the chain holds a defect.
@@ -192,8 +192,8 @@ func FuzzBlockDefectChain(f *testing.F) {
 		r.SeedStream(seed, 0)
 		var col drawCol
 		col.reset(&r, 0, 0)
-		lazy := layChain(&sc, &cfg, col, r, true, genStart, windowEnd)
-		eager := layChain(&sc, &cfg, col, r, false, genStart, windowEnd)
+		lazy := layChain(&sc, col, r, true, genStart, windowEnd)
+		eager := layChain(&sc, col, r, false, genStart, windowEnd)
 		compareLayouts(t, "fuzzed chain", lazy, eager)
 	})
 }

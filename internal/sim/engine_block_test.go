@@ -13,7 +13,7 @@ import (
 // the paper's base case (general-β TTOp with the lazy gen-1 skip, lazy
 // β = 3 scrub ends), exponential transitions with frequent events (heavy
 // sweep/suppression/concomitant-repair traffic), latent defects without
-// scrub, per-slot overrides, the NHPP defect process, and the θ-tilted
+// scrub, per-slot overrides, the θ-tilted
 // variants with their censored-weight bookkeeping, and defect processes
 // on either side of the Poisson arrival layout's domain.
 func blockIdentityConfigs() map[string]Config {
@@ -28,11 +28,6 @@ func blockIdentityConfigs() map[string]Config {
 	mixed.SlotTTOp = make([]dist.Distribution, mixed.Drives)
 	mixed.SlotTTOp[0] = dist.MustWeibull(1.12, 200000, 0)
 	mixed.SlotTTOp[3] = dist.MustExponential(1e-5)
-
-	nhpp := fastConfig()
-	nhpp.Trans.TTLdRate = func(t float64) float64 { return 1e-4 * (1 + 0.5*math.Sin(t/1000)) }
-	nhpp.Trans.TTLdRateMax = 1.5e-4
-	nhpp.Trans.TTScrub = dist.MustExponential(1e-2)
 
 	biased := paperBaseConfig()
 	biased.Bias.Op = 8
@@ -57,7 +52,6 @@ func blockIdentityConfigs() map[string]Config {
 		"fast latent":      fastLatent,
 		"no scrub":         noScrub,
 		"mixed vintage":    mixed,
-		"nhpp":             nhpp,
 		"biased op":        biased,
 		"biased op+ld":     biasedBoth,
 		"rare bias θ=8":    rareBiasConfig(8),

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"raidrel/internal/dist"
 	"raidrel/internal/rng"
 )
@@ -30,10 +28,9 @@ type cfgKernels struct {
 	scrub    dist.Kernel
 	biasOp   bool
 	biasLd   bool
-	// plainTTLd marks the dominant defect configuration — homogeneous
-	// renewal process, no tilt — so the hot loops can draw straight from
-	// the ttld kernel without re-dispatching on the process type at every
-	// arrival.
+	// plainTTLd marks the dominant defect configuration — a TTLd renewal
+	// process with no tilt — so the hot loops can draw straight from the
+	// ttld kernel with no likelihood-ratio bookkeeping.
 	plainTTLd bool
 }
 
@@ -103,45 +100,4 @@ func (k *cfgKernels) drawTTOp(cfg *Config, slot int, from float64, r *rng.RNG) (
 		return k.ttopTilt[slot].DrawLR(cfg.Mission-from, r)
 	}
 	return k.ttop[slot].Draw(r), 0
-}
-
-// nextDefect returns the absolute time of the next latent-defect arrival
-// after `from`, or +Inf when the defect process is disabled, together
-// with the draw's importance-sampling log likelihood ratio (0 unless
-// Bias.Ld is active). The homogeneous case renewal-samples TTLd through
-// the compiled kernel — tilted and censored at `horizon`, the time beyond
-// which the caller discards the arrival; the NHPP case thins a Poisson
-// stream at TTLdRateMax against the instantaneous rate.
-func (k *cfgKernels) nextDefect(cfg *Config, from, horizon float64, r *rng.RNG) (float64, float64) {
-	switch {
-	case cfg.Trans.TTLdRate != nil:
-		t := from
-		for {
-			t += r.ExpFloat64() / cfg.Trans.TTLdRateMax
-			if t > cfg.Mission {
-				return t, 0 // beyond the horizon; caller discards
-			}
-			rate := cfg.Trans.TTLdRate(t)
-			if rate < 0 || rate > cfg.Trans.TTLdRateMax {
-				// A misbehaving rate function would silently bias the
-				// process; clamp to the declared bound.
-				if rate < 0 {
-					rate = 0
-				} else {
-					rate = cfg.Trans.TTLdRateMax
-				}
-			}
-			if r.Float64()*cfg.Trans.TTLdRateMax < rate {
-				return t, 0
-			}
-		}
-	case cfg.Trans.TTLd != nil:
-		if k.biasLd {
-			dt, logLR := k.ttldTilt.DrawLR(horizon-from, r)
-			return from + dt, logLR
-		}
-		return from + k.ttld.Draw(r), 0
-	default:
-		return math.Inf(1), 0
-	}
 }

@@ -92,20 +92,6 @@ type Transitions struct {
 	TTR     dist.Distribution // time to restore an operational failure
 	TTLd    dist.Distribution // time to the next latent defect on a drive
 	TTScrub dist.Distribution // time from defect creation to scrub correction
-
-	// TTLdRate optionally replaces TTLd with a non-homogeneous Poisson
-	// defect process: arrivals occur with instantaneous rate TTLdRate(t)
-	// defects per drive-hour, t in system time. This models §6.3's usage
-	// dependence dynamically — duty-cycled workloads corrupt data faster
-	// during busy periods. Sampled by thinning against TTLdRateMax, which
-	// must bound the rate over the mission.
-	TTLdRate    func(t float64) float64
-	TTLdRateMax float64
-}
-
-// latentEnabled reports whether any defect process is configured.
-func (t Transitions) latentEnabled() bool {
-	return t.TTLd != nil || t.TTLdRate != nil
 }
 
 // Config describes one simulated RAID group.
@@ -168,17 +154,8 @@ func (c Config) Validate() error {
 	if c.Trans.TTR == nil {
 		return fmt.Errorf("sim: TTR distribution is required")
 	}
-	if c.Trans.TTScrub != nil && !c.Trans.latentEnabled() {
+	if c.Trans.TTScrub != nil && c.Trans.TTLd == nil {
 		return fmt.Errorf("sim: TTScrub set but latent defects disabled (TTLd nil)")
-	}
-	if c.Trans.TTLd != nil && c.Trans.TTLdRate != nil {
-		return fmt.Errorf("sim: TTLd and TTLdRate are mutually exclusive")
-	}
-	if c.Trans.TTLdRate != nil && !(c.Trans.TTLdRateMax > 0) {
-		return fmt.Errorf("sim: TTLdRate needs a positive TTLdRateMax bound")
-	}
-	if c.Trans.TTLdRate == nil && c.Trans.TTLdRateMax != 0 {
-		return fmt.Errorf("sim: TTLdRateMax set without TTLdRate")
 	}
 	if c.SlotTTOp != nil && len(c.SlotTTOp) != c.Drives {
 		return fmt.Errorf("sim: %d slot TTOp overrides for %d drives", len(c.SlotTTOp), c.Drives)
@@ -202,9 +179,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Bias.ldEnabled() && c.Trans.TTLd == nil {
-		if c.Trans.TTLdRate != nil {
-			return fmt.Errorf("sim: latent-defect bias is unsupported for the NHPP defect process (TTLdRate)")
-		}
 		return fmt.Errorf("sim: latent-defect bias set but latent defects disabled (TTLd nil)")
 	}
 	if c.VR.CondVariate && c.Trans.TTLd != nil {
@@ -212,7 +186,7 @@ func (c Config) Validate() error {
 		// Poisson-thinned live-defect count; a non-memoryless renewal
 		// defect process would silently bias EZ.
 		if _, ok := dist.AsPoissonRate(c.Trans.TTLd); !ok {
-			return fmt.Errorf("sim: the conditional-DDF variate requires a memoryless defect process (exponential TTLd or an NHPP TTLdRate), got TTLd %v", c.Trans.TTLd)
+			return fmt.Errorf("sim: the conditional-DDF variate requires a memoryless defect process (exponential TTLd), got TTLd %v", c.Trans.TTLd)
 		}
 	}
 	return nil

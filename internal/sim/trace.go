@@ -83,14 +83,3 @@ func (t *Trace) Count(kind TraceKind) int {
 	}
 	return n
 }
-
-// SlotEvents returns the recorded events of one slot, preserving order.
-func (t *Trace) SlotEvents(slot int) []TraceEvent {
-	var out []TraceEvent
-	for _, e := range t.Events {
-		if e.Slot == slot {
-			out = append(out, e)
-		}
-	}
-	return out
-}

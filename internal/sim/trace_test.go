@@ -103,20 +103,6 @@ func TestTraceInvariants(t *testing.T) {
 	}
 }
 
-func TestTraceSlotEvents(t *testing.T) {
-	trace := &Trace{}
-	trace.Observe(TraceEvent{Time: 1, Kind: TraceDefect, Slot: 2})
-	trace.Observe(TraceEvent{Time: 2, Kind: TraceOpFail, Slot: 1})
-	trace.Observe(TraceEvent{Time: 3, Kind: TraceScrub, Slot: 2})
-	got := trace.SlotEvents(2)
-	if len(got) != 2 || got[0].Kind != TraceDefect || got[1].Kind != TraceScrub {
-		t.Errorf("SlotEvents = %+v", got)
-	}
-	if trace.Count(TraceOpFail) != 1 {
-		t.Error("Count wrong")
-	}
-}
-
 // Every DDF in the trace coincides with an op-fail event at the same time
 // on the same slot — DDFs are always triggered by operational failures.
 func TestTraceDDFCoincidesWithOpFail(t *testing.T) {

@@ -64,7 +64,7 @@ type VR struct {
 	// §12). It predicts the DDF indicator even when scrubbing erases
 	// defect persistence — the regime where the plain indicator variate
 	// is powerless. Mutually exclusive with ControlVariate; requires a
-	// memoryless defect process (exponential TTLd or an NHPP rate).
+	// memoryless defect process (exponential TTLd).
 	CondVariate bool `json:"cond_variate,omitempty"`
 	// BlockSize is the iterations per VR block (0 = DefaultVRBlock). Must
 	// be even when Antithetic is on.

@@ -14,20 +14,9 @@ type Interval struct {
 	Level  float64 // e.g. 0.95
 }
 
-// BootstrapMeanCI computes a percentile-bootstrap confidence interval for
-// the mean of the sample using resamples drawn from r.
-func BootstrapMeanCI(sample []float64, level float64, resamples int, r *rng.RNG) (Interval, error) {
-	return bootstrapCI(sample, level, resamples, r, Mean)
-}
-
 // BootstrapCI computes a percentile-bootstrap confidence interval for an
-// arbitrary statistic of the sample.
+// arbitrary statistic of the sample using resamples drawn from r.
 func BootstrapCI(sample []float64, level float64, resamples int, r *rng.RNG,
-	statistic func([]float64) float64) (Interval, error) {
-	return bootstrapCI(sample, level, resamples, r, statistic)
-}
-
-func bootstrapCI(sample []float64, level float64, resamples int, r *rng.RNG,
 	statistic func([]float64) float64) (Interval, error) {
 	if len(sample) == 0 {
 		return Interval{}, fmt.Errorf("stats: bootstrap of empty sample")

@@ -1,12 +1,10 @@
 // Package stats provides the descriptive and repairable-system statistics
 // used to turn Monte Carlo event streams into the paper's tables and
-// figures: summary statistics, empirical CDFs, the mean cumulative function
-// (MCF) for repairable systems, windowed ROCOF estimation, histograms, and
-// bootstrap confidence intervals.
+// figures: summary statistics, the mean cumulative function (MCF) for
+// repairable systems, windowed ROCOF estimation, and confidence intervals.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -91,67 +89,4 @@ func Mean(sample []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(sample))
-}
-
-// ECDFAt returns the empirical CDF of the sample evaluated at x: the
-// fraction of observations <= x.
-func ECDFAt(sample []float64, x float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	count := 0
-	for _, v := range sample {
-		if v <= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(sample))
-}
-
-// Histogram bins sample values into nbins equal-width bins over [lo, hi].
-// Values outside the range are clamped into the end bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram builds a histogram of the sample. It returns an error if
-// nbins < 1 or lo >= hi.
-func NewHistogram(sample []float64, lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", nbins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v] invalid", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	width := (hi - lo) / float64(nbins)
-	for _, v := range sample {
-		i := int((v - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h, nil
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
-// Density returns the normalized density estimate for bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.Total) * width)
 }

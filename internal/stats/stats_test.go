@@ -49,53 +49,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestECDFAt(t *testing.T) {
-	s := []float64{1, 2, 3, 4}
-	if got := ECDFAt(s, 2.5); got != 0.5 {
-		t.Errorf("ECDF(2.5) = %v", got)
-	}
-	if got := ECDFAt(s, 0); got != 0 {
-		t.Errorf("ECDF(0) = %v", got)
-	}
-	if got := ECDFAt(s, 4); got != 1 {
-		t.Errorf("ECDF(4) = %v", got)
-	}
-	if !math.IsNaN(ECDFAt(nil, 1)) {
-		t.Error("ECDF of empty sample should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0.5, 1.5, 1.6, 2.5, -1, 10}, 0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -1 clamps into bin 0, 10 clamps into bin 2.
-	if h.Counts[0] != 2 || h.Counts[1] != 2 || h.Counts[2] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total != 6 {
-		t.Errorf("total = %d", h.Total)
-	}
-	if h.BinCenter(1) != 1.5 {
-		t.Errorf("BinCenter(1) = %v", h.BinCenter(1))
-	}
-	// Densities integrate to 1.
-	var area float64
-	for i := range h.Counts {
-		area += h.Density(i) * (h.Hi - h.Lo) / float64(len(h.Counts))
-	}
-	if math.Abs(area-1) > 1e-12 {
-		t.Errorf("density area = %v", area)
-	}
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(nil, 2, 1, 3); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
 func TestMCFBasic(t *testing.T) {
 	// 4 systems; system 0 fails at 10 and 30, system 1 at 20, others never.
 	events := [][]float64{{10, 30}, {20}, {}, {}}
@@ -220,38 +173,18 @@ func TestIsIncreasingTrendEdge(t *testing.T) {
 	}
 }
 
-func TestBootstrapMeanCI(t *testing.T) {
-	r := rng.New(44)
-	// Sample from N(10, 1): CI should cover 10 and have width ~ 4/sqrt(n).
-	sample := make([]float64, 400)
-	for i := range sample {
-		sample[i] = 10 + r.NormFloat64()
-	}
-	ci, err := BootstrapMeanCI(sample, 0.95, 2000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > 10 || ci.Hi < 10 {
-		t.Errorf("CI [%v, %v] misses true mean 10", ci.Lo, ci.Hi)
-	}
-	width := ci.Hi - ci.Lo
-	if width < 0.1 || width > 0.4 {
-		t.Errorf("CI width %v implausible for n=400", width)
-	}
-}
-
 func TestBootstrapValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, err := BootstrapMeanCI(nil, 0.95, 100, r); err == nil {
+	if _, err := BootstrapCI(nil, 0.95, 100, r, Mean); err == nil {
 		t.Error("empty sample accepted")
 	}
-	if _, err := BootstrapMeanCI([]float64{1}, 1.5, 100, r); err == nil {
+	if _, err := BootstrapCI([]float64{1}, 1.5, 100, r, Mean); err == nil {
 		t.Error("bad level accepted")
 	}
-	if _, err := BootstrapMeanCI([]float64{1}, 0.95, 5, r); err == nil {
+	if _, err := BootstrapCI([]float64{1}, 0.95, 5, r, Mean); err == nil {
 		t.Error("too few resamples accepted")
 	}
-	if _, err := BootstrapMeanCI([]float64{1}, 0.95, 100, nil); err == nil {
+	if _, err := BootstrapCI([]float64{1}, 0.95, 100, nil, Mean); err == nil {
 		t.Error("nil RNG accepted")
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds the estimator side of the simulator's variance-reduction
-// stack: the paired (antithetic) mean interval and the control-variate
-// adjusted interval with its online covariance accumulator.
+// stack: the control-variate adjusted interval with its online covariance
+// accumulator.
 
 // ZScore returns the two-sided standard-normal critical value for a
 // confidence level: the z with P(|N(0,1)| ≤ z) = level. It is the
@@ -16,26 +16,6 @@ import (
 // can reconstruct standard errors from reported half-widths.
 func ZScore(level float64) float64 {
 	return normalQuantile(0.5 + level/2)
-}
-
-// PairedMeanCI returns the normal-approximation confidence interval for
-// the common mean of paired observations — antithetic pairs (a_i, b_i)
-// whose members are deliberately correlated. Each pair collapses to its
-// mean (a_i+b_i)/2; the pair means are iid, so the usual normal interval
-// over them is valid where a naive interval over the pooled 2n correlated
-// observations would not be.
-func PairedMeanCI(a, b []float64, level float64) (Interval, error) {
-	if len(a) != len(b) {
-		return Interval{}, fmt.Errorf("stats: paired samples of unequal length (%d vs %d)", len(a), len(b))
-	}
-	if len(a) < 2 {
-		return Interval{}, fmt.Errorf("stats: need >= 2 pairs, got %d", len(a))
-	}
-	means := make([]float64, len(a))
-	for i := range a {
-		means[i] = (a[i] + b[i]) / 2
-	}
-	return NormalMeanCI(means, level)
 }
 
 // CVAccum accumulates the first and second co-moments of an observation y

@@ -7,49 +7,6 @@ import (
 	"raidrel/internal/rng"
 )
 
-func TestPairedMeanCIValidation(t *testing.T) {
-	if _, err := PairedMeanCI([]float64{1}, []float64{1, 2}, 0.95); err == nil {
-		t.Error("unequal pair lengths accepted")
-	}
-	if _, err := PairedMeanCI([]float64{1}, []float64{2}, 0.95); err == nil {
-		t.Error("single pair accepted")
-	}
-}
-
-// TestPairedMeanCIShrinksForAntitheticPairs: for negatively correlated
-// pairs the paired interval must be narrower than the naive interval over
-// the pooled observations pretending independence — that is the entire
-// point of antithetic sampling — while still covering the true mean.
-func TestPairedMeanCIShrinksForAntitheticPairs(t *testing.T) {
-	r := rng.New(31)
-	const n = 4000
-	a := make([]float64, n)
-	b := make([]float64, n)
-	pooled := make([]float64, 0, 2*n)
-	for i := range a {
-		u := r.Float64()
-		a[i] = u * u // a monotone transform keeps the antithetic correlation negative
-		v := 1 - u
-		b[i] = v * v
-		pooled = append(pooled, a[i], b[i])
-	}
-	paired, err := PairedMeanCI(a, b, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NormalMeanCI(pooled, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = 1.0 / 3
-	if paired.Lo > want || paired.Hi < want {
-		t.Fatalf("paired CI [%v, %v] misses the true mean %v", paired.Lo, paired.Hi, want)
-	}
-	if (paired.Hi - paired.Lo) >= (naive.Hi-naive.Lo)/2 {
-		t.Fatalf("paired CI width %v not well below naive width %v", paired.Hi-paired.Lo, naive.Hi-naive.Lo)
-	}
-}
-
 // TestControlVariateCIUnbiased: across many replications, the adjusted
 // estimator's empirical mean must sit within a few replication standard
 // errors of the true mean, and the 95% interval must cover it at roughly

@@ -2,9 +2,8 @@
 // The paper's §6.3 derives the hourly data-corruption rate as the product
 // of a read-error rate (errors per byte, measured across NetApp fleet
 // studies) and an hourly read volume; Table 1 tabulates the grid. This
-// package reproduces that derivation, names the workload profiles the
-// examples sweep, and gives a busy/idle duty cycle's time-varying defect
-// rate.
+// package reproduces that derivation and names the workload profiles the
+// examples sweep.
 package workload
 
 import (
@@ -89,68 +88,6 @@ type Profile struct {
 	Name            string
 	BytesPerHour    float64 // read volume driving corruption
 	ForegroundShare float64 // fraction of bandwidth consumed by user IO
-}
-
-// DutyCycle describes a periodic busy/idle IO pattern: BusyHours of
-// BusyBytesPerHour followed by (PeriodHours - BusyHours) of
-// IdleBytesPerHour, repeating. §6.3 makes corruption usage-dependent;
-// a duty cycle makes that dependence dynamic within the mission.
-type DutyCycle struct {
-	PeriodHours      float64
-	BusyHours        float64
-	BusyBytesPerHour float64
-	IdleBytesPerHour float64
-}
-
-// Validate checks the cycle.
-func (d DutyCycle) Validate() error {
-	if !(d.PeriodHours > 0) || math.IsInf(d.PeriodHours, 0) {
-		return fmt.Errorf("workload: invalid period %v", d.PeriodHours)
-	}
-	if d.BusyHours < 0 || d.BusyHours > d.PeriodHours {
-		return fmt.Errorf("workload: busy hours %v outside [0, %v]", d.BusyHours, d.PeriodHours)
-	}
-	if !(d.BusyBytesPerHour > 0) || !(d.IdleBytesPerHour >= 0) {
-		return fmt.Errorf("workload: invalid volumes busy=%v idle=%v", d.BusyBytesPerHour, d.IdleBytesPerHour)
-	}
-	return nil
-}
-
-// DefectRateFunc returns the instantaneous latent-defect rate function
-// rate(t) = RER × bytes/hour(t) plus its upper bound, ready for the
-// simulator's non-homogeneous defect process.
-func (d DutyCycle) DefectRateFunc(errorsPerByte float64) (fn func(t float64) float64, max float64, err error) {
-	if err := d.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if !(errorsPerByte > 0) || math.IsInf(errorsPerByte, 0) {
-		return nil, 0, fmt.Errorf("workload: errors/byte must be positive, got %v", errorsPerByte)
-	}
-	busyRate := errorsPerByte * d.BusyBytesPerHour
-	idleRate := errorsPerByte * d.IdleBytesPerHour
-	fn = func(t float64) float64 {
-		phase := math.Mod(t, d.PeriodHours)
-		if phase < 0 {
-			phase += d.PeriodHours
-		}
-		if phase < d.BusyHours {
-			return busyRate
-		}
-		return idleRate
-	}
-	return fn, math.Max(busyRate, idleRate), nil
-}
-
-// MeanRate returns the cycle's time-averaged defect rate.
-func (d DutyCycle) MeanRate(errorsPerByte float64) (float64, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	if !(errorsPerByte > 0) || math.IsInf(errorsPerByte, 0) {
-		return 0, fmt.Errorf("workload: errors/byte must be positive, got %v", errorsPerByte)
-	}
-	busy := d.BusyHours / d.PeriodHours
-	return errorsPerByte * (busy*d.BusyBytesPerHour + (1-busy)*d.IdleBytesPerHour), nil
 }
 
 // Standard profiles used by the examples.

@@ -50,59 +50,6 @@ func TestTable1Grid(t *testing.T) {
 	}
 }
 
-func TestDutyCycle(t *testing.T) {
-	d := DutyCycle{PeriodHours: 168, BusyHours: 48, BusyBytesPerHour: 1.35e10, IdleBytesPerHour: 1.35e9}
-	fn, max, err := d.DefectRateFunc(RERMedium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	busyRate := RERMedium * 1.35e10
-	idleRate := RERMedium * 1.35e9
-	if max != busyRate {
-		t.Errorf("max = %v, want %v", max, busyRate)
-	}
-	// Inside the busy window.
-	if got := fn(10); got != busyRate {
-		t.Errorf("fn(10) = %v, want busy %v", got, busyRate)
-	}
-	// Inside the idle window, and periodic.
-	if got := fn(100); got != idleRate {
-		t.Errorf("fn(100) = %v, want idle %v", got, idleRate)
-	}
-	if fn(10+168) != fn(10) || fn(100+336) != fn(100) {
-		t.Error("rate not periodic")
-	}
-	mean, err := d.MeanRate(RERMedium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (48*busyRate + 120*idleRate) / 168
-	if math.Abs(mean-want)/want > 1e-12 {
-		t.Errorf("mean rate = %v, want %v", mean, want)
-	}
-}
-
-func TestDutyCycleValidation(t *testing.T) {
-	bad := []DutyCycle{
-		{PeriodHours: 0, BusyHours: 0, BusyBytesPerHour: 1},
-		{PeriodHours: 10, BusyHours: 11, BusyBytesPerHour: 1},
-		{PeriodHours: 10, BusyHours: 5, BusyBytesPerHour: 0},
-		{PeriodHours: 10, BusyHours: 5, BusyBytesPerHour: 1, IdleBytesPerHour: -1},
-	}
-	for i, d := range bad {
-		if err := d.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-	good := DutyCycle{PeriodHours: 10, BusyHours: 5, BusyBytesPerHour: 1}
-	if _, _, err := good.DefectRateFunc(0); err == nil {
-		t.Error("zero RER accepted")
-	}
-	if _, err := good.MeanRate(-1); err == nil {
-		t.Error("negative RER accepted")
-	}
-}
-
 func TestProfilesSane(t *testing.T) {
 	for _, p := range []Profile{Archive, Nearline, Transactional} {
 		if p.Name == "" || p.BytesPerHour <= 0 {
