@@ -249,20 +249,17 @@ func BenchmarkEngineBlockVRInto(b *testing.B) {
 // cost. The hard 0-alloc guard is TestFleetIntoZeroAlloc; here allocs/op
 // records the amortized scratch growth across chronologies.
 func BenchmarkFleetInto(b *testing.B) {
-	fc := sim.FleetConfig{
-		Groups:                10_000,
-		Group:                 baseSimConfig(),
-		MaxConcurrentRebuilds: 64,
-	}
+	cfg := baseSimConfig()
+	fo := sim.FleetOptions{Groups: 10_000, MaxConcurrentRebuilds: 64}
 	var st sim.FleetStats
 	visit := func(int, []sim.DDF) {}
-	if err := sim.SimulateFleetInto(fc, 1, 0, visit, &st); err != nil {
+	if err := sim.SimulateFleetInto(cfg, fo, 1, 0, visit, &st); err != nil {
 		b.Fatal(err) // warm the pooled scratch to the fleet's size
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.SimulateFleetInto(fc, 1, uint64(i)*uint64(fc.Groups), visit, &st); err != nil {
+		if err := sim.SimulateFleetInto(cfg, fo, 1, uint64(i)*uint64(fo.Groups), visit, &st); err != nil {
 			b.Fatal(err)
 		}
 	}

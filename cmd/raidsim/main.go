@@ -60,7 +60,8 @@
 // "cond" requires a memoryless defect process and excludes "cv"). Every
 // run uses the batched block engine unless its configuration needs the
 // event engine (a coupled -topology); -batch-block sets the block length,
-// which is also the VR block size.
+// which is also the VR block size. With -vr on, iteration counts round up
+// to whole VR blocks.
 package main
 
 import (

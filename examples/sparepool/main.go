@@ -51,21 +51,18 @@ func run() error {
 			pool = &sim.SparePolicy{Initial: initial, ReplenishHours: replenish}
 			label = fmt.Sprintf("%d", initial)
 		}
-		total := 0
-		for i := 0; i < iters; i++ {
-			res, _, err := sim.SimulateFleet(sim.FleetConfig{
-				Groups:       groups,
-				Group:        group,
-				SharedSpares: pool,
-			}, 77, uint64(i*groups))
-			if err != nil {
-				return err
-			}
-			for _, gr := range res {
-				total += len(gr.DDFs)
-			}
+		// iters shelf chronologies; shelf i simulates groups from RNG
+		// streams i*groups onward.
+		res, err := sim.RunSparse(sim.RunSpec{
+			Config:     group,
+			Iterations: iters * groups,
+			Seed:       77,
+			Fleet:      &sim.FleetOptions{Groups: groups, SharedSpares: pool},
+		})
+		if err != nil {
+			return err
 		}
-		perShelf := float64(total) / iters
+		perShelf := float64(res.TotalDDFs) / iters
 		if pool == nil {
 			unlimited = perShelf
 		}

@@ -109,27 +109,16 @@ func (s Spec) withDefaults() Spec {
 	if s.BatchSize == 0 {
 		s.BatchSize = DefaultBatchSize
 	}
-	if s.Config.VR.Enabled() {
-		// Variance reduction acts within blocks of consecutive iterations, so
-		// every batch must cover whole blocks: round the batch size and any
-		// iteration budget up to block multiples. A split block would
-		// stratify over a partial quantile range and bias its block mean.
-		bs := s.Config.VR.EffectiveBlock()
-		if bs > 0 {
-			s.BatchSize = roundUp(s.BatchSize, bs)
-			if s.MaxIterations > 0 {
-				s.MaxIterations = roundUp(s.MaxIterations, bs)
-			}
-		}
+	// Every batch covers whole run units — VR blocks, which a split would
+	// stratify over a partial quantile range and bias, or fleet
+	// chronologies, which the runner cannot split — so round the batch
+	// size and any iteration budget up to unit multiples.
+	u := sim.RunSpec{Config: s.Config, Fleet: s.Fleet}.Unit()
+	if s.BatchSize > 0 {
+		s.BatchSize = roundUp(s.BatchSize, u)
 	}
-	if s.Fleet != nil && s.Fleet.Groups > 1 {
-		// Fleet runs dispatch whole chronologies of Groups coupled groups:
-		// every batch (and any iteration budget) must cover whole
-		// chronologies, or the runner would be asked for a fractional fleet.
-		s.BatchSize = roundUp(s.BatchSize, s.Fleet.Groups)
-		if s.MaxIterations > 0 {
-			s.MaxIterations = roundUp(s.MaxIterations, s.Fleet.Groups)
-		}
+	if s.MaxIterations > 0 {
+		s.MaxIterations = roundUp(s.MaxIterations, u)
 	}
 	if s.MinIterations == 0 {
 		s.MinIterations = s.BatchSize
@@ -146,9 +135,6 @@ func (s Spec) withDefaults() Spec {
 // validate rejects specs that cannot run or would never stop. Called on
 // the defaulted copy.
 func (s Spec) validate() error {
-	if err := s.Config.Validate(); err != nil {
-		return err
-	}
 	if s.TargetRelErr < 0 {
 		return fmt.Errorf("campaign: target relative error %v negative", s.TargetRelErr)
 	}
@@ -167,31 +153,17 @@ func (s Spec) validate() error {
 	if s.MaxIterations < 0 {
 		return fmt.Errorf("campaign: max iterations %d negative", s.MaxIterations)
 	}
-	if s.Offset < 0 {
-		return fmt.Errorf("campaign: stream offset %d negative", s.Offset)
-	}
 	if s.TargetRelErr == 0 && s.MaxIterations == 0 && s.MaxDuration == 0 {
 		return fmt.Errorf("campaign: no stopping rule (set TargetRelErr, MaxIterations, or MaxDuration)")
 	}
-	if s.Config.VR.Enabled() {
-		if bs := s.Config.VR.EffectiveBlock(); s.Offset%bs != 0 {
-			return fmt.Errorf("campaign: stream offset %d is not a multiple of the VR block size %d (shards must start on block boundaries)", s.Offset, bs)
-		}
+	// The first batch stands for every batch: all start on unit
+	// boundaries and cover whole units.
+	first := s.BatchSpec(0)
+	if err := first.Validate(); err != nil {
+		return err
 	}
-	if s.Fleet == nil {
-		if err := sim.EngineSupports(s.Engine, s.Config); err != nil {
-			return err
-		}
-	} else {
-		if s.Engine != nil {
-			return fmt.Errorf("campaign: fleet campaigns use the dedicated fleet engine; Engine must be nil, got %T", s.Engine)
-		}
-		if err := s.Fleet.Config(s.Config).Validate(); err != nil {
-			return err
-		}
-		if s.Offset%s.Fleet.Groups != 0 {
-			return fmt.Errorf("campaign: stream offset %d is not a multiple of the fleet size %d (shards must start on chronology boundaries)", s.Offset, s.Fleet.Groups)
-		}
+	if u := first.Unit(); s.Offset%u != 0 {
+		return fmt.Errorf("campaign: stream offset %d is not a multiple of the run unit %d (shards must start on whole VR blocks or fleet chronologies)", s.Offset, u)
 	}
 	return nil
 }
@@ -210,6 +182,28 @@ func roundUp(n, m int) int {
 // of surfacing the error from a queued job later.
 func (s Spec) Validate() error {
 	return s.withDefaults().validate()
+}
+
+// BatchSpec returns the run of the batch that starts after done completed
+// iterations, with zero knobs defaulted as Run defaults them: the next
+// BatchSize iterations, clipped to MaxIterations, from stream Offset+done.
+// Run simulates every batch through it and Validate checks the first one
+// with sim.RunSpec.Validate, so submit-time and run-time checks agree.
+func (s Spec) BatchSpec(done int) sim.RunSpec {
+	s = s.withDefaults()
+	batch := s.BatchSize
+	if s.MaxIterations > 0 && done+batch > s.MaxIterations {
+		batch = s.MaxIterations - done
+	}
+	return sim.RunSpec{
+		Config:     s.Config,
+		Iterations: batch,
+		Seed:       s.Seed,
+		Workers:    s.Workers,
+		Engine:     s.Engine,
+		Offset:     s.Offset + done,
+		Fleet:      s.Fleet,
+	}
 }
 
 // checkpointPath returns where checkpoints should be written, or "".
@@ -375,21 +369,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			return res, nil
 		}
 
-		batch := spec.BatchSize
-		if spec.MaxIterations > 0 && done+batch > spec.MaxIterations {
-			batch = spec.MaxIterations - done
-		}
 		br.Reset()
-		err := sim.RunCollect(sim.RunSpec{
-			Config:     spec.Config,
-			Iterations: batch,
-			Seed:       spec.Seed,
-			Workers:    spec.Workers,
-			Engine:     spec.Engine,
-			Offset:     spec.Offset + done,
-			Fleet:      spec.Fleet,
-		}, br)
-		if err != nil {
+		if err := sim.RunCollect(spec.BatchSpec(done), br); err != nil {
 			return nil, err
 		}
 		run.Merge(br)

@@ -294,6 +294,14 @@ func TestRunValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("negative batch size accepted")
 	}
+	// Rounding to whole VR blocks or fleet chronologies must not turn a
+	// negative batch size into a valid one-unit batch.
+	for name, spec := range map[string]Spec{"vr": vrSpec(), "fleet": fleetSpec()} {
+		spec.MaxIterations, spec.BatchSize = 128, -5
+		if _, err := Run(context.Background(), spec); err == nil {
+			t.Errorf("%s: negative batch size accepted", name)
+		}
+	}
 	if _, err := Run(context.Background(), Spec{
 		Config: fastConfig(), MaxIterations: 10, MaxDuration: -time.Second,
 	}); err == nil {

@@ -407,17 +407,13 @@ func New(p Params) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	// Validate the shape of the model's smallest run: the group config,
+	// the default engine's feature support, and for a fleet the coupling
+	// knobs plus the features the fleet path cannot honor.
+	run := sim.RunSpec{Config: cfg, Fleet: p.Fleet}
+	run.Iterations = run.Unit()
+	if err := run.Validate(); err != nil {
 		return nil, err
-	}
-	if p.Fleet != nil {
-		// The fleet wrapper re-validates the group config plus the
-		// coupling knobs (size, spare policy, rebuild cap) and rejects the
-		// engine features the fleet path cannot honor (VR, bias, coupled
-		// topologies).
-		if err := p.Fleet.Config(cfg).Validate(); err != nil {
-			return nil, err
-		}
 	}
 	return &Model{params: p, cfg: cfg}, nil
 }
@@ -432,39 +428,20 @@ func (m *Model) SimConfig() sim.Config { return m.cfg }
 
 // Run simulates the given number of independent RAID groups with the given
 // seed and returns the aggregated result. Iterations is the paper's "RAID
-// groups monitored": 1,000 groups × 10 years in the headline numbers. For
-// fleet models the count is rounded up to whole fleet chronologies.
+// groups monitored": 1,000 groups × 10 years in the headline numbers. Run
+// is a one-batch adaptive campaign, so the count is rounded up to whole run
+// units exactly as RunAdaptive rounds its budget: whole VR blocks for
+// variance-reduced models, whole fleet chronologies for fleet models.
+// Result.Groups reports the count simulated.
 func (m *Model) Run(iterations int, seed uint64) (*Result, error) {
-	if f := m.params.Fleet; f != nil && f.Groups > 1 && iterations%f.Groups != 0 {
-		iterations += f.Groups - iterations%f.Groups
+	if iterations < 1 {
+		return nil, fmt.Errorf("core: iterations must be >= 1, got %d", iterations)
 	}
-	res, err := sim.RunSparse(sim.RunSpec{
-		Config:     m.cfg,
-		Iterations: iterations,
-		Seed:       seed,
-		Fleet:      m.params.Fleet,
-	})
+	res, err := m.RunAdaptive(context.Background(), seed, AdaptiveOptions{MaxIterations: iterations, BatchSize: iterations})
 	if err != nil {
 		return nil, err
 	}
-	return m.newResult(res, iterations)
-}
-
-// newResult wraps a raw run in the derived-statistics view. Importance-
-// sampled runs feed the weighted MCF; for unbiased runs the weight slice
-// is nil and the computation is bit-identical to the unweighted one.
-func (m *Model) newResult(res *sim.SparseResult, groups int) (*Result, error) {
-	times, weights := res.TimesAndWeights()
-	mcf, err := stats.MCFFromWeightedTimes(times, weights, groups)
-	if err != nil {
-		return nil, fmt.Errorf("core: mcf: %w", err)
-	}
-	return &Result{
-		Groups:  groups,
-		Mission: m.params.MissionHours,
-		Raw:     res,
-		mcf:     mcf,
-	}, nil
+	return res.Result, nil
 }
 
 // AdaptiveOptions steers Model.RunAdaptive. The zero value is not
@@ -534,10 +511,15 @@ func (m *Model) RunAdaptive(ctx context.Context, seed uint64, opts AdaptiveOptio
 		// to build statistics from.
 		return nil, fmt.Errorf("core: adaptive campaign cancelled before any iterations completed")
 	}
-	res, err := m.newResult(cres.Run, cres.Iterations)
+	// Importance-sampled runs feed the weighted MCF; for unbiased runs the
+	// weight slice is nil and the computation is bit-identical to the
+	// unweighted one.
+	times, weights := cres.Run.TimesAndWeights()
+	mcf, err := stats.MCFFromWeightedTimes(times, weights, cres.Iterations)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: mcf: %w", err)
 	}
+	res := &Result{Groups: cres.Iterations, Mission: m.params.MissionHours, Raw: cres.Run, mcf: mcf}
 	return &AdaptiveResult{Result: res, Campaign: cres}, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -522,5 +523,40 @@ func TestModelRunWithTopologyUnavailability(t *testing.T) {
 	}
 	if res.UnavailPer1000Groups() <= 0 {
 		t.Errorf("unavail per 1000 = %v", res.UnavailPer1000Groups())
+	}
+}
+
+// Model.Run rounds a variance-reduced run up to whole VR blocks, exactly
+// as RunAdaptive rounds its budget: a 128-iteration stratified run of the
+// default 256-iteration block simulates the whole block, so it reports 256
+// groups and reproduces the 256-iteration run bit for bit. A run cut at
+// 128 would stratify over half the quantile range and bias the estimate.
+func TestRunRoundsToWholeVRBlocks(t *testing.T) {
+	p := BaseCase()
+	p.TTOp.Scale = 20000 // hot enough that most groups lose data
+	p.VR = sim.VR{Stratify: true}
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := m.Run(128, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := m.Run(256, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half.Groups != 256 {
+		t.Fatalf("Run(128) simulated %d groups, want one whole 256-iteration block", half.Groups)
+	}
+	ht, hw := half.Raw.TimesAndWeights()
+	wt, ww := whole.Raw.TimesAndWeights()
+	if len(wt) == 0 {
+		t.Fatal("no DDFs in the whole block; the comparison is vacuous")
+	}
+	if !slices.Equal(ht, wt) || !slices.Equal(hw, ww) || half.Raw.GroupsWithDDF() != whole.Raw.GroupsWithDDF() {
+		t.Errorf("Run(128): %d DDFs in %d groups, Run(256): %d DDFs in %d groups; want identical runs",
+			len(ht), half.Raw.GroupsWithDDF(), len(wt), whole.Raw.GroupsWithDDF())
 	}
 }

@@ -60,7 +60,7 @@ func (n Normal) Quantile(p float64) float64 {
 	if p >= 1 {
 		return math.Inf(1)
 	}
-	return n.mean + n.sd*stdNormalQuantile(p)
+	return n.mean + n.sd*StdNormalQuantile(p)
 }
 
 // Sample draws μ + σZ.
@@ -206,10 +206,11 @@ func stdNormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// stdNormalQuantile is Φ⁻¹(p) for p in (0,1), computed with the
+// StdNormalQuantile is Φ⁻¹(p) for p in (0,1), computed with the
 // Acklam/Wichura-style rational approximation followed by one Halley
-// refinement step, accurate to ~1e-15 over the full open interval.
-func stdNormalQuantile(p float64) float64 {
+// refinement step, accurate to ~1e-15 over the full open interval. It is
+// the module's one Φ⁻¹: stats derives every interval z-score from it.
+func StdNormalQuantile(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(-1)
 	}

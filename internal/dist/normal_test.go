@@ -176,11 +176,11 @@ func TestStdNormalQuantileAccuracy(t *testing.T) {
 		{0.9999683287581669, 4},
 	}
 	for _, c := range cases {
-		if got := stdNormalQuantile(c.p); math.Abs(got-c.z) > 1e-9 {
+		if got := StdNormalQuantile(c.p); math.Abs(got-c.z) > 1e-9 {
 			t.Errorf("Φ⁻¹(%v) = %v, want %v", c.p, got, c.z)
 		}
 	}
-	if !math.IsInf(stdNormalQuantile(0), -1) || !math.IsInf(stdNormalQuantile(1), 1) {
+	if !math.IsInf(StdNormalQuantile(0), -1) || !math.IsInf(StdNormalQuantile(1), 1) {
 		t.Error("quantile edges not infinite")
 	}
 }

@@ -180,32 +180,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestJumpDisjointStreams(t *testing.T) {
-	a := New(11)
-	b := New(11)
-	b.Jump()
-	matches := 0
-	for i := 0; i < 10000; i++ {
-		if a.Uint64() == b.Uint64() {
-			matches++
-		}
-	}
-	if matches > 2 {
-		t.Fatalf("jumped stream matched base stream on %d of 10000 draws", matches)
-	}
-}
-
-func TestSplitChildEqualsParentPrefix(t *testing.T) {
-	parent := New(12)
-	reference := New(12)
-	child := parent.Split()
-	for i := 0; i < 1000; i++ {
-		if child.Uint64() != reference.Uint64() {
-			t.Fatalf("child stream diverged from pre-split sequence at %d", i)
-		}
-	}
-}
-
 func TestForStreamIndependence(t *testing.T) {
 	// Distinct stream indices must give distinct sequences; same index must
 	// reproduce exactly.

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+
+	"raidrel/internal/core"
+	"raidrel/internal/sim"
 )
 
 // TestShardRangeOverflow: shard boundaries of campaigns whose Index·N
@@ -42,8 +45,9 @@ func TestShardRangeOverflow(t *testing.T) {
 // FuzzJobSpec feeds arbitrary bytes through the daemon's request decoder
 // (decodeBody: unknown fields are an error) and JobSpec.Validate. Whatever
 // validates must be runnable: a sharded spec's slice lies inside the
-// campaign, 0 <= start < end <= Iterations, and the cache key derives
-// without error.
+// campaign, 0 <= start < end <= Iterations, the cache key derives without
+// error, and the campaign's first batch passes the runner's own
+// sim.RunSpec.Validate, so submit-time and run-time checks cannot drift.
 func FuzzJobSpec(f *testing.F) {
 	add := func(js JobSpec) {
 		data, err := json.Marshal(js)
@@ -58,6 +62,26 @@ func FuzzJobSpec(f *testing.F) {
 	add(JobSpec{Params: fastParams(), Seed: 1, Iterations: 4e9, Shard: &Shard{Index: 3e9, Count: 4e9}})
 	add(JobSpec{Params: fastParams(), Seed: 1, TargetRelErr: 0.05, BatchSize: 500})
 	add(JobSpec{Params: fastParams(), Seed: 1, Iterations: 2, Shard: &Shard{Index: 1, Count: 5}})
+	// Run shapes with their own rules: a contended fleet with a shared
+	// spare pool, the antithetic+stratify+cond VR stack, an odd VR block,
+	// and a coupled component topology.
+	fleet := fastParams()
+	fleet.Fleet = &sim.FleetOptions{Groups: 6, MaxConcurrentRebuilds: 1,
+		SharedSpares: &sim.SparePolicy{Initial: 1, ReplenishHours: 200}}
+	add(JobSpec{Params: fleet, Seed: 1, Iterations: 100, BatchSize: 50})
+	add(JobSpec{Params: fleet, Seed: 1, Iterations: 600, Shard: &Shard{Index: 1, Count: 4}})
+	vrStack := fastParams()
+	vrStack.LatentDefects = true
+	vrStack.TTLd = core.WeibullSpec{Scale: 5000, Shape: 1}
+	vrStack.VR = sim.VR{Antithetic: true, Stratify: true, CondVariate: true, BlockSize: 64}
+	add(JobSpec{Params: vrStack, Seed: 1, Iterations: 1000, BatchSize: 100})
+	oddBlock := fastParams()
+	oddBlock.VR = sim.VR{Stratify: true, BlockSize: 63}
+	add(JobSpec{Params: oddBlock, Seed: 1, Iterations: 189, Shard: &Shard{Index: 2, Count: 3}})
+	topo := fastParams()
+	topo.Topology = &core.TopologySpec{Components: []core.ComponentSpec{{Name: "shelf", Drives: []int{0, 1, 2, 3},
+		TTOp: core.WeibullSpec{Scale: 150000, Shape: 1}, TTR: core.WeibullSpec{Scale: 300, Shape: 1}}}}
+	add(JobSpec{Params: topo, Seed: 1, TargetRelErr: 0.1, BatchSize: 300})
 	f.Add([]byte(`{"iterations":10,"shard":{"index":-1,"count":2}}`))
 	f.Add([]byte(`{"iterations":10,"bogus":1}`))
 	f.Add([]byte(`{not json`))
@@ -78,6 +102,13 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if _, err := js.CacheKey(); err != nil {
 			t.Fatalf("valid spec has no cache key: %v", err)
+		}
+		spec, err := js.campaignSpec()
+		if err != nil {
+			t.Fatalf("valid spec has no campaign: %v", err)
+		}
+		if err := spec.BatchSpec(0).Validate(); err != nil {
+			t.Fatalf("valid spec's first batch fails the runner's checks: %v", err)
 		}
 	})
 }

@@ -634,7 +634,7 @@ func (c *chronology) requeueGroup(grp int) {
 // The topology handlers (compFail, compRestore, noteAvail) assume the
 // one-group driver: component draws come from group 0's stream and the
 // availability state and suppression window are group 0's.
-// FleetConfig.Validate rejects coupled topologies, so no fleet reaches
+// FleetOptions.Validate rejects coupled topologies, so no fleet reaches
 // them.
 func (c *chronology) compFail(ev event) {
 	tp := &c.tp

@@ -14,10 +14,13 @@ import (
 // workloads.
 const maxFleetDrives = 1 << 27
 
-// FleetOptions is the fleet-level configuration carried alongside a group
-// Config by the runner, campaigns, and the service layer: how many groups
-// share one chronology, the shared spare pool, and the repair-bandwidth
-// bound. The JSON form is the wire/checkpoint representation.
+// FleetOptions describes several RAID groups operated together — a shelf,
+// rack, or data-center fleet — coupled through shared repair resources: an
+// optional fleet-wide spare pool and an optional bound on concurrent
+// rebuilds. Groups are otherwise independent copies of one group Config: a
+// DDF requires coincident events within one group. The runner, campaigns,
+// and the service layer carry it alongside that Config; the JSON form is
+// the wire/checkpoint representation.
 type FleetOptions struct {
 	// Groups is the number of RAID groups operated together.
 	Groups int `json:"groups"`
@@ -27,76 +30,45 @@ type FleetOptions struct {
 	// MaxConcurrentRebuilds caps how many rebuilds run at once across the
 	// whole fleet — the shared repair-bandwidth bound. 0 means unlimited
 	// (every rebuild starts as soon as its spare is available). Queued
-	// rebuilds wait in the heal queue, most-degraded group first.
+	// rebuilds wait in the heal queue, most-degraded group first
+	// (failed-drive count, then oldest failure).
 	MaxConcurrentRebuilds int `json:"max_concurrent_rebuilds,omitempty"`
 }
 
-// Config combines the options with a per-group configuration.
-func (o *FleetOptions) Config(group Config) FleetConfig {
-	if o == nil {
-		return FleetConfig{Groups: 1, Group: group}
+// Validate checks the fleet description for groups configured as group,
+// whose own Spares field must be nil: sparing is fleet-level here.
+func (o FleetOptions) Validate(group Config) error {
+	if o.Groups < 1 {
+		return fmt.Errorf("sim: fleet needs >= 1 group, got %d", o.Groups)
 	}
-	return FleetConfig{
-		Groups:                o.Groups,
-		Group:                 group,
-		SharedSpares:          o.SharedSpares,
-		MaxConcurrentRebuilds: o.MaxConcurrentRebuilds,
+	if o.MaxConcurrentRebuilds < 0 {
+		return fmt.Errorf("sim: fleet max concurrent rebuilds must be >= 0 (0 = unlimited), got %d", o.MaxConcurrentRebuilds)
 	}
-}
-
-// FleetConfig describes several RAID groups operated together — a shelf,
-// rack, or data-center fleet — coupled through shared repair resources: an
-// optional fleet-wide spare pool and an optional bound on concurrent
-// rebuilds. Groups are otherwise independent: a DDF requires coincident
-// events within one group.
-type FleetConfig struct {
-	// Groups is the number of RAID groups.
-	Groups int
-	// Group is the per-group configuration. Its own Spares field must be
-	// nil; sparing is fleet-level here.
-	Group Config
-	// SharedSpares optionally bounds the fleet-wide spare pool; nil means
-	// a spare is always available.
-	SharedSpares *SparePolicy
-	// MaxConcurrentRebuilds caps concurrent rebuilds fleet-wide; 0 means
-	// unlimited. When the cap binds, waiting rebuilds are granted to the
-	// most-degraded group first (failed-drive count, then oldest failure).
-	MaxConcurrentRebuilds int
-}
-
-// Validate checks the fleet description.
-func (f FleetConfig) Validate() error {
-	if f.Groups < 1 {
-		return fmt.Errorf("sim: fleet needs >= 1 group, got %d", f.Groups)
-	}
-	if f.MaxConcurrentRebuilds < 0 {
-		return fmt.Errorf("sim: fleet max concurrent rebuilds must be >= 0 (0 = unlimited), got %d", f.MaxConcurrentRebuilds)
-	}
-	if f.Group.Spares != nil {
+	if group.Spares != nil {
 		return fmt.Errorf("sim: fleet groups must not carry their own spare pools; use SharedSpares")
 	}
-	if f.Group.Bias.Enabled() {
+	if group.Bias.Enabled() {
 		return fmt.Errorf("sim: fleet simulation does not support importance sampling (no weight channel in its output)")
 	}
-	if f.Group.VR.Enabled() {
+	if group.VR.Enabled() {
 		return fmt.Errorf("sim: fleet simulation does not support variance reduction; it runs on the fleet event engine only")
 	}
-	if f.Group.Topology.Coupled() {
+	if group.Topology.Coupled() {
 		return fmt.Errorf("sim: fleet simulation does not support coupled component topologies; use EventEngine on a single group")
 	}
-	if err := f.Group.Validate(); err != nil {
+	if err := group.Validate(); err != nil {
 		return err
 	}
 	// Guard the total slot count before anything sizes state off it: an
 	// int overflow would wrap silently, and an absurd product would OOM
 	// long before the first event.
-	if f.Groups > math.MaxInt/f.Group.Drives {
-		return fmt.Errorf("sim: fleet size overflows: %d groups x %d drives exceeds the addressable slot count", f.Groups, f.Group.Drives)
+	if o.Groups > math.MaxInt/group.Drives {
+		return fmt.Errorf("sim: fleet size overflows: %d groups x %d drives exceeds the addressable slot count", o.Groups, group.Drives)
 	}
-	if total := f.Groups * f.Group.Drives; total > maxFleetDrives {
-		return fmt.Errorf("sim: fleet of %d groups x %d drives = %d slots exceeds the %d-slot limit; shard the fleet across chronologies instead", f.Groups, f.Group.Drives, total, maxFleetDrives)
+	if total := o.Groups * group.Drives; total > maxFleetDrives {
+		return fmt.Errorf("sim: fleet of %d groups x %d drives = %d slots exceeds the %d-slot limit; shard the fleet across chronologies instead", o.Groups, group.Drives, total, maxFleetDrives)
 	}
-	return f.SharedSpares.Validate()
+	return o.SharedSpares.Validate()
 }
 
 // FleetStats is the heal-backlog telemetry of one fleet chronology — the
@@ -132,12 +104,6 @@ type FleetStats struct {
 	// each group's total rebuild wait hours; left untouched otherwise so
 	// million-group callers pay nothing for it.
 	GroupWaitHours []float64
-}
-
-// GroupDDFs is one group's data-loss events within a fleet chronology.
-type GroupDDFs struct {
-	Group int
-	DDFs  []DDF
 }
 
 // healReq is one waiting rebuild in the heal queue. Ordering is
@@ -237,40 +203,40 @@ func (s *evIdxSort) Less(a, b int) bool {
 }
 func (s *evIdxSort) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// SimulateFleetInto runs one chronology of the whole fleet: the
-// many-group driver of the chronology core EventEngine also drives. Group
-// g draws every sample from its own RNG stream baseStream+g of seed — the
-// same stream iteration Offset+i uses in the scalar runner — so with
-// unlimited repair slots and nil shared spares each group's chronology is
-// bit-identical to an independent EventEngine run on that stream, and a
-// one-group fleet with shared spares to an EventEngine run with the same
-// policy as cfg.Spares. Shared spares or a finite MaxConcurrentRebuilds
-// couple the groups through the repair server: a failure burst in one
-// group can starve another group's rebuild, stretching its exposure
-// window.
+// SimulateFleetInto runs one chronology of the whole fleet: opts.Groups
+// copies of group, the many-group driver of the chronology core
+// EventEngine also drives. Group g draws every sample from its own RNG
+// stream baseStream+g of seed — the same stream iteration Offset+i uses in
+// the scalar runner — so with unlimited repair slots and nil shared spares
+// each group's chronology is bit-identical to an independent EventEngine
+// run on that stream, and a one-group fleet with shared spares to an
+// EventEngine run with the same policy as group.Spares. Shared spares or a
+// finite MaxConcurrentRebuilds couple the groups through the repair
+// server: a failure burst in one group can starve another group's rebuild,
+// stretching its exposure window.
 //
 // visit is called once per event-bearing group, in ascending group order,
 // with that group's DDFs in chronological order. The slice is scratch
 // backing reused across calls: callers must copy anything they keep.
 // Event-free groups (the overwhelming majority in the rare-event regime)
 // get no call. st, when non-nil, receives the chronology's heal-backlog
-// statistics; pre-size st.GroupWaitHours to cfg.Groups to also collect
+// statistics; pre-size st.GroupWaitHours to opts.Groups to also collect
 // per-group wait hours.
-func SimulateFleetInto(cfg FleetConfig, seed, baseStream uint64, visit func(group int, ddfs []DDF), st *FleetStats) error {
-	if err := cfg.Validate(); err != nil {
+func SimulateFleetInto(group Config, opts FleetOptions, seed, baseStream uint64, visit func(group int, ddfs []DDF), st *FleetStats) error {
+	if err := opts.Validate(group); err != nil {
 		return err
 	}
 	c := chronPool.Get().(*chronology)
-	c.reset(&cfg.Group, cfg.Groups, cfg.SharedSpares, cfg.MaxConcurrentRebuilds)
+	c.reset(&group, opts.Groups, opts.SharedSpares, opts.MaxConcurrentRebuilds)
 	c.fleet, c.ddfs = true, c.fleetDDFs[:0]
-	if cap(c.rngs) < cfg.Groups {
-		c.rngs = make([]rng.RNG, cfg.Groups)
+	if cap(c.rngs) < opts.Groups {
+		c.rngs = make([]rng.RNG, opts.Groups)
 	}
-	c.rngs = c.rngs[:cfg.Groups]
+	c.rngs = c.rngs[:opts.Groups]
 	for g := range c.rngs {
 		c.rngs[g].SeedStream(seed, baseStream+uint64(g))
 	}
-	if st != nil && len(st.GroupWaitHours) == cfg.Groups {
+	if st != nil && len(st.GroupWaitHours) == opts.Groups {
 		c.groupWait = st.GroupWaitHours
 		clear(c.groupWait)
 	}
@@ -278,7 +244,7 @@ func SimulateFleetInto(cfg FleetConfig, seed, baseStream uint64, visit func(grou
 	c.fleetDDFs = c.ddfs
 	if st != nil {
 		// Close the open accounting windows at mission end.
-		mission := cfg.Group.Mission
+		mission := group.Mission
 		c.noteDepth(mission, 0)
 		for g, n := range c.failedCount {
 			if dur := mission - c.degradedSince[g]; n > 0 && dur > c.maxExposure {
@@ -349,29 +315,4 @@ func (c *chronology) visitEvents(visit func(group int, ddfs []DDF)) {
 		i = j
 	}
 	c.visitBuf = buf[:0]
-}
-
-// SimulateFleet runs one fleet chronology and materializes every group's
-// DDF list plus the heal-backlog statistics (including per-group wait
-// hours). Group g draws from RNG stream baseStream+g of seed; see
-// SimulateFleetInto for the coupling semantics. Prefer SimulateFleetInto
-// for large fleets — this convenience wrapper allocates O(Groups).
-func SimulateFleet(cfg FleetConfig, seed, baseStream uint64) ([]GroupDDFs, FleetStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, FleetStats{}, err
-	}
-	result := make([]GroupDDFs, cfg.Groups)
-	for i := range result {
-		result[i].Group = i
-	}
-	st := FleetStats{GroupWaitHours: make([]float64, cfg.Groups)}
-	err := SimulateFleetInto(cfg, seed, baseStream, func(g int, ddfs []DDF) {
-		cp := make([]DDF, len(ddfs))
-		copy(cp, ddfs)
-		result[g].DDFs = cp
-	}, &st)
-	if err != nil {
-		return nil, FleetStats{}, err
-	}
-	return result, st, nil
 }

@@ -87,14 +87,13 @@ func TestFleetScriptedPriorityOrder(t *testing.T) {
 			TTR: newScripted(100, 5, 5, 5),
 		},
 	}
-	fc := FleetConfig{Groups: 3, Group: cfg, MaxConcurrentRebuilds: 1}
-	groups, st := simulateFleetSeeded(t, fc, 1, 0)
+	groups, st := simulateFleetSeeded(t, cfg, FleetOptions{Groups: 3, MaxConcurrentRebuilds: 1}, 1, 0)
 
-	if len(groups[1].DDFs) != 1 || groups[1].DDFs[0].Time != 80 || groups[1].DDFs[0].Cause != CauseOpOp {
-		t.Errorf("group 1 DDFs = %v, want [{80 op+op}]", groups[1].DDFs)
+	if len(groups[1]) != 1 || groups[1][0].Time != 80 || groups[1][0].Cause != CauseOpOp {
+		t.Errorf("group 1 DDFs = %v, want [{80 op+op}]", groups[1])
 	}
-	if len(groups[0].DDFs) != 0 || len(groups[2].DDFs) != 0 {
-		t.Errorf("unexpected DDFs: g0=%v g2=%v", groups[0].DDFs, groups[2].DDFs)
+	if len(groups[0]) != 0 || len(groups[2]) != 0 {
+		t.Errorf("unexpected DDFs: g0=%v g2=%v", groups[0], groups[2])
 	}
 
 	if st.Failures != 4 || st.Rebuilds != 4 || st.ActiveAtEnd != 0 || st.QueuedAtEnd != 0 {
@@ -137,17 +136,17 @@ func TestFleetBacklogConservation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(5e-4)
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
-	scenarios := []FleetConfig{
-		{Groups: 6, Group: cfg, MaxConcurrentRebuilds: 1},
-		{Groups: 6, Group: cfg, MaxConcurrentRebuilds: 2},
-		{Groups: 4, Group: cfg, MaxConcurrentRebuilds: 1,
+	scenarios := []FleetOptions{
+		{Groups: 6, MaxConcurrentRebuilds: 1},
+		{Groups: 6, MaxConcurrentRebuilds: 2},
+		{Groups: 4, MaxConcurrentRebuilds: 1,
 			SharedSpares: &SparePolicy{Initial: 1, ReplenishHours: 400}},
-		{Groups: 8, Group: cfg}, // unlimited: waits only from spares (none here)
+		{Groups: 8}, // unlimited: waits only from spares (none here)
 	}
 	for si, fc := range scenarios {
 		sawQueuedAtEnd := false
 		for i := 0; i < 300; i++ {
-			_, st := simulateFleetSeeded(t, fc, uint64(640+si), uint64(i*fc.Groups))
+			_, st := simulateFleetSeeded(t, cfg, fc, uint64(640+si), uint64(i*fc.Groups))
 			if st.Failures != st.Rebuilds+st.ActiveAtEnd+st.QueuedAtEnd {
 				t.Fatalf("scenario %d iter %d: %d failures != %d + %d + %d",
 					si, i, st.Failures, st.Rebuilds, st.ActiveAtEnd, st.QueuedAtEnd)
@@ -203,7 +202,7 @@ func TestFleetBacklogMonotoneInSlots(t *testing.T) {
 	for si, k := range slots {
 		var total float64
 		for i := 0; i < 400; i++ {
-			_, st := simulateFleetSeeded(t, FleetConfig{Groups: 6, Group: cfg, MaxConcurrentRebuilds: k}, 650, uint64(i*6))
+			_, st := simulateFleetSeeded(t, cfg, FleetOptions{Groups: 6, MaxConcurrentRebuilds: k}, 650, uint64(i*6))
 			total += st.TotalWaitHours
 		}
 		waits[si] = total
@@ -246,9 +245,9 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 	if len(engineDDFs) != 0 {
 		t.Errorf("event engine: defect during degraded window recorded %v, want none", engineDDFs)
 	}
-	fleetGroups, _ := simulateFleetSeeded(t, FleetConfig{Groups: 1, Group: script()}, 1, 0)
-	if len(fleetGroups[0].DDFs) != 0 {
-		t.Errorf("fleet engine: defect during degraded window recorded %v, want none", fleetGroups[0].DDFs)
+	fleetGroups, _ := simulateFleetSeeded(t, script(), FleetOptions{Groups: 1}, 1, 0)
+	if len(fleetGroups[0]) != 0 {
+		t.Errorf("fleet engine: defect during degraded window recorded %v, want none", fleetGroups[0])
 	}
 
 	// Companion: an operational failure at 150 instead of the defect IS a
@@ -272,9 +271,9 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 	if len(engineDDFs) != 1 || engineDDFs[0].Time != 150 || engineDDFs[0].Cause != CauseOpOp {
 		t.Errorf("event engine companion: %v, want [{150 op+op}]", engineDDFs)
 	}
-	fleetGroups, _ = simulateFleetSeeded(t, FleetConfig{Groups: 1, Group: live()}, 1, 0)
-	if len(fleetGroups[0].DDFs) != 1 || fleetGroups[0].DDFs[0] != engineDDFs[0] {
-		t.Errorf("fleet engine companion: %v, want %v", fleetGroups[0].DDFs, engineDDFs)
+	fleetGroups, _ = simulateFleetSeeded(t, live(), FleetOptions{Groups: 1}, 1, 0)
+	if len(fleetGroups[0]) != 1 || fleetGroups[0][0] != engineDDFs[0] {
+		t.Errorf("fleet engine companion: %v, want %v", fleetGroups[0], engineDDFs)
 	}
 }
 
@@ -295,9 +294,9 @@ func TestFleetScriptedSuppressionSpansQueueWait(t *testing.T) {
 			TTR:  newScripted(500, 10, 10, 10),
 		},
 	}
-	groups, st := simulateFleetSeeded(t, FleetConfig{Groups: 2, Group: cfg, MaxConcurrentRebuilds: 1}, 1, 0)
-	if len(groups[1].DDFs) != 1 || groups[1].DDFs[0].Time != 120 {
-		t.Errorf("group 1 DDFs = %v, want only the 120 event (130 suppressed while queued)", groups[1].DDFs)
+	groups, st := simulateFleetSeeded(t, cfg, FleetOptions{Groups: 2, MaxConcurrentRebuilds: 1}, 1, 0)
+	if len(groups[1]) != 1 || groups[1][0].Time != 120 {
+		t.Errorf("group 1 DDFs = %v, want only the 120 event (130 suppressed while queued)", groups[1])
 	}
 	if st.MaxQueueDepth != 3 {
 		t.Errorf("MaxQueueDepth = %d, want 3", st.MaxQueueDepth)
@@ -336,9 +335,9 @@ func TestFleetScriptedSpareWaitRepairsDefect(t *testing.T) {
 	if !reflect.DeepEqual(engineDDFs, want) {
 		t.Errorf("event engine: %v, want %v", engineDDFs, want)
 	}
-	groups, _ := simulateFleetSeeded(t, FleetConfig{Groups: 1, Group: script(), SharedSpares: pool}, 1, 0)
-	if !reflect.DeepEqual(groups[0].DDFs, want) {
-		t.Errorf("fleet engine: %v, want %v", groups[0].DDFs, want)
+	groups, _ := simulateFleetSeeded(t, script(), FleetOptions{Groups: 1, SharedSpares: pool}, 1, 0)
+	if !reflect.DeepEqual(groups[0], want) {
+		t.Errorf("fleet engine: %v, want %v", groups[0], want)
 	}
 }
 

@@ -156,20 +156,20 @@ func TestFleetIntoZeroAlloc(t *testing.T) {
 	// real failures across the measured runs.)
 	cfg := fastConfig()
 	cfg.Trans.TTOp = dist.MustExponential(1e-15)
-	fc := FleetConfig{Groups: 100_000, Group: cfg, MaxConcurrentRebuilds: 4}
+	fo := FleetOptions{Groups: 100_000, MaxConcurrentRebuilds: 4}
 	var st FleetStats
 	visit := func(g int, ddfs []DDF) {
 		t.Fatalf("event-free fleet visited group %d", g)
 	}
 	run := func() {
-		if err := SimulateFleetInto(fc, 7, 0, visit, &st); err != nil {
+		if err := SimulateFleetInto(cfg, fo, 7, 0, visit, &st); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // warm the pooled scratch to the fleet's size
 	allocs := testing.AllocsPerRun(20, run)
 	if allocs != 0 {
-		t.Errorf("warm %d-group SimulateFleetInto allocates %.1f allocs/run, want 0", fc.Groups, allocs)
+		t.Errorf("warm %d-group SimulateFleetInto allocates %.1f allocs/run, want 0", fo.Groups, allocs)
 	}
 	if st.Failures != 0 {
 		t.Fatalf("config produced failures; alloc bound is not measuring the idle path")
@@ -186,17 +186,17 @@ func TestFleetIntoZeroAllocBusy(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	cfg := fastConfig()
-	fc := FleetConfig{
-		Groups: 64, Group: cfg,
+	fo := FleetOptions{
+		Groups:                64,
 		SharedSpares:          &SparePolicy{Initial: 2, ReplenishHours: 200},
 		MaxConcurrentRebuilds: 2,
 	}
 	var st FleetStats
-	st.GroupWaitHours = make([]float64, fc.Groups)
+	st.GroupWaitHours = make([]float64, fo.Groups)
 	visit := func(g int, ddfs []DDF) {}
 	var err error
 	run := func() {
-		err = SimulateFleetInto(fc, 11, 0, visit, &st)
+		err = SimulateFleetInto(cfg, fo, 11, 0, visit, &st)
 	}
 	for i := 0; i < 10; i++ {
 		run() // warm every reusable array to this chronology's high-water mark

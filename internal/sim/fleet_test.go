@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"raidrel/internal/dist"
@@ -9,24 +10,22 @@ import (
 )
 
 func TestFleetValidation(t *testing.T) {
-	good := FleetConfig{Groups: 3, Group: fastConfig()}
-	if err := good.Validate(); err != nil {
+	if err := (FleetOptions{Groups: 3}).Validate(fastConfig()); err != nil {
 		t.Fatalf("valid fleet rejected: %v", err)
 	}
-	if err := (FleetConfig{Groups: 0, Group: fastConfig()}).Validate(); err == nil {
+	if err := (FleetOptions{Groups: 0}).Validate(fastConfig()); err == nil {
 		t.Error("zero groups accepted")
 	}
 	bad := fastConfig()
 	bad.Spares = &SparePolicy{Initial: 1}
-	if err := (FleetConfig{Groups: 2, Group: bad}).Validate(); err == nil {
+	if err := (FleetOptions{Groups: 2}).Validate(bad); err == nil {
 		t.Error("per-group spares accepted")
 	}
-	withBadPool := FleetConfig{Groups: 2, Group: fastConfig(),
-		SharedSpares: &SparePolicy{Initial: -1}}
-	if err := withBadPool.Validate(); err == nil {
+	withBadPool := FleetOptions{Groups: 2, SharedSpares: &SparePolicy{Initial: -1}}
+	if err := withBadPool.Validate(fastConfig()); err == nil {
 		t.Error("invalid shared pool accepted")
 	}
-	if err := (FleetConfig{Groups: 2, Group: fastConfig(), MaxConcurrentRebuilds: -1}).Validate(); err == nil {
+	if err := (FleetOptions{Groups: 2, MaxConcurrentRebuilds: -1}).Validate(fastConfig()); err == nil {
 		t.Error("negative rebuild cap accepted")
 	}
 }
@@ -36,26 +35,31 @@ func TestFleetValidation(t *testing.T) {
 // wrap or try to allocate.
 func TestFleetValidationRejectsOverflow(t *testing.T) {
 	cfg := fastConfig()
-	huge := FleetConfig{Groups: math.MaxInt/cfg.Drives + 1, Group: cfg}
-	if err := huge.Validate(); err == nil {
+	huge := FleetOptions{Groups: math.MaxInt/cfg.Drives + 1}
+	if err := huge.Validate(cfg); err == nil {
 		t.Error("int-overflowing Groups*Drives accepted")
 	}
-	absurd := FleetConfig{Groups: maxFleetDrives/cfg.Drives + 1, Group: cfg}
-	if err := absurd.Validate(); err == nil {
+	absurd := FleetOptions{Groups: maxFleetDrives/cfg.Drives + 1}
+	if err := absurd.Validate(cfg); err == nil {
 		t.Error("absurd fleet total accepted")
 	}
 	// The largest permitted fleet must still validate.
-	ok := FleetConfig{Groups: maxFleetDrives / cfg.Drives, Group: cfg}
-	if err := ok.Validate(); err != nil {
+	ok := FleetOptions{Groups: maxFleetDrives / cfg.Drives}
+	if err := ok.Validate(cfg); err != nil {
 		t.Errorf("maximum permitted fleet rejected: %v", err)
 	}
 }
 
 // simulateFleetSeeded is the test shorthand: one chronology, per-group
-// streams base..base+Groups-1.
-func simulateFleetSeeded(t *testing.T, fc FleetConfig, seed, base uint64) ([]GroupDDFs, FleetStats) {
+// streams base..base+Groups-1. It returns every group's DDFs, indexed by
+// group, and the heal-backlog statistics including per-group wait hours.
+func simulateFleetSeeded(t *testing.T, group Config, fo FleetOptions, seed, base uint64) ([][]DDF, FleetStats) {
 	t.Helper()
-	res, st, err := SimulateFleet(fc, seed, base)
+	res := make([][]DDF, fo.Groups)
+	st := FleetStats{GroupWaitHours: make([]float64, fo.Groups)}
+	err := SimulateFleetInto(group, fo, seed, base, func(g int, ddfs []DDF) {
+		res[g] = slices.Clone(ddfs)
+	}, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,22 +106,22 @@ func TestFleetMatchesEngineBitIdentical(t *testing.T) {
 			mismatches, events := 0, 0
 			for c := 0; c < tc.chrons; c++ {
 				base := uint64(c * tc.groups)
-				fleet, _ := simulateFleetSeeded(t, FleetConfig{Groups: tc.groups, Group: tc.cfg, SharedSpares: tc.spares}, seed, base)
+				fleet, _ := simulateFleetSeeded(t, tc.cfg, FleetOptions{Groups: tc.groups, SharedSpares: tc.spares}, seed, base)
 				for g := 0; g < tc.groups; g++ {
 					single, err := simulate(EventEngine{}, engCfg, rng.ForStream(seed, base+uint64(g)))
 					if err != nil {
 						t.Fatal(err)
 					}
 					events += len(single)
-					if len(single) != len(fleet[g].DDFs) {
+					if len(single) != len(fleet[g]) {
 						mismatches++
-						t.Errorf("chron %d group %d: fleet %d DDFs, engine %d", c, g, len(fleet[g].DDFs), len(single))
+						t.Errorf("chron %d group %d: fleet %d DDFs, engine %d", c, g, len(fleet[g]), len(single))
 						continue
 					}
 					for j := range single {
-						if single[j] != fleet[g].DDFs[j] {
+						if single[j] != fleet[g][j] {
 							mismatches++
-							t.Errorf("chron %d group %d event %d: fleet %+v, engine %+v", c, g, j, fleet[g].DDFs[j], single[j])
+							t.Errorf("chron %d group %d event %d: fleet %+v, engine %+v", c, g, j, fleet[g][j], single[j])
 							break
 						}
 					}
@@ -142,9 +146,9 @@ func TestFleetScalesLinearlyWithoutSharing(t *testing.T) {
 	count := func(groups, iters int, seed uint64) float64 {
 		total := 0
 		for i := 0; i < iters; i++ {
-			res, _ := simulateFleetSeeded(t, FleetConfig{Groups: groups, Group: cfg}, seed, uint64(i*groups))
+			res, _ := simulateFleetSeeded(t, cfg, FleetOptions{Groups: groups}, seed, uint64(i*groups))
 			for _, gr := range res {
-				total += len(gr.DDFs)
+				total += len(gr)
 			}
 		}
 		return float64(total) / float64(iters*groups)
@@ -168,13 +172,9 @@ func TestFleetSharedSpareContention(t *testing.T) {
 	run := func(pool *SparePolicy) int {
 		total := 0
 		for i := 0; i < 1200; i++ {
-			res, _ := simulateFleetSeeded(t, FleetConfig{
-				Groups:       4,
-				Group:        cfg,
-				SharedSpares: pool,
-			}, 620, uint64(i*4))
+			res, _ := simulateFleetSeeded(t, cfg, FleetOptions{Groups: 4, SharedSpares: pool}, 620, uint64(i*4))
 			for _, gr := range res {
-				total += len(gr.DDFs)
+				total += len(gr)
 			}
 		}
 		return total
@@ -206,9 +206,9 @@ func TestFleetDDFsAreGroupLocal(t *testing.T) {
 	}
 	sawDDF := false
 	for i := 0; i < 400; i++ {
-		res, _ := simulateFleetSeeded(t, FleetConfig{Groups: 2, Group: cfg}, 630, uint64(i*2))
+		res, _ := simulateFleetSeeded(t, cfg, FleetOptions{Groups: 2}, 630, uint64(i*2))
 		for _, gr := range res {
-			for _, d := range gr.DDFs {
+			for _, d := range gr {
 				sawDDF = true
 				if d.Cause != CauseOpOp {
 					t.Fatalf("no latent defects configured but cause %v", d.Cause)
@@ -219,10 +219,10 @@ func TestFleetDDFsAreGroupLocal(t *testing.T) {
 	if !sawDDF {
 		t.Fatal("expected some within-group DDFs at these rates")
 	}
-	res, _ := simulateFleetSeeded(t, FleetConfig{Groups: 3, Group: cfg}, 631, 0)
+	res, _ := simulateFleetSeeded(t, cfg, FleetOptions{Groups: 3}, 631, 0)
 	for _, gr := range res {
-		for j := 1; j < len(gr.DDFs); j++ {
-			if gr.DDFs[j].Time < gr.DDFs[j-1].Time {
+		for j := 1; j < len(gr); j++ {
+			if gr[j].Time < gr[j-1].Time {
 				t.Fatal("group DDFs unsorted")
 			}
 		}

@@ -41,6 +41,60 @@ type RunSpec struct {
 	Fleet *FleetOptions
 }
 
+// Validate reports whether RunCollect would accept the run: a valid
+// Config, at least one iteration, a non-negative offset, and an engine
+// that supports every configured feature — or, for a fleet, a valid fleet
+// description, no explicit engine, and iterations and offset in whole
+// chronologies. It is the one home of these run-shape rules: campaigns and
+// models call it to reject a run before simulating anything. Partial VR
+// blocks are allowed here; campaigns round to whole ones (see Unit).
+func (spec RunSpec) Validate() error {
+	if err := spec.Config.Validate(); err != nil {
+		return err
+	}
+	if spec.Iterations < 1 {
+		return fmt.Errorf("sim: iterations must be >= 1, got %d", spec.Iterations)
+	}
+	if spec.Offset < 0 {
+		return fmt.Errorf("sim: stream offset must be >= 0, got %d", spec.Offset)
+	}
+	f := spec.Fleet
+	if f == nil {
+		// Uniform feature gating: reject combinations the chosen engine
+		// cannot express (finite spares or coupled topologies off the
+		// event engine, VR off the block engine) before any worker starts.
+		return EngineSupports(spec.Engine, spec.Config)
+	}
+	if spec.Engine != nil {
+		return fmt.Errorf("sim: fleet runs use the dedicated fleet engine; Engine must be nil, got %T", spec.Engine)
+	}
+	if err := f.Validate(spec.Config); err != nil {
+		return err
+	}
+	if spec.Iterations%f.Groups != 0 {
+		return fmt.Errorf("sim: fleet runs need iterations (%d) in whole chronologies of %d groups", spec.Iterations, f.Groups)
+	}
+	if spec.Offset%f.Groups != 0 {
+		return fmt.Errorf("sim: fleet stream offset (%d) must be a multiple of the fleet size (%d)", spec.Offset, f.Groups)
+	}
+	return nil
+}
+
+// Unit is the run's iteration granularity: the fleet size for a fleet
+// run (one chronology simulates Fleet.Groups groups at once), the VR block
+// when variance reduction is on (a split block stratifies over a partial
+// quantile range and biases its block mean), and 1 otherwise. Campaigns
+// cut batches, iteration budgets and shard offsets in whole units.
+func (spec RunSpec) Unit() int {
+	switch {
+	case spec.Fleet != nil && spec.Fleet.Groups > 1:
+		return spec.Fleet.Groups
+	case spec.Config.VR.Enabled():
+		return spec.Config.VR.EffectiveBlock()
+	}
+	return 1
+}
+
 // unitWindow is each worker's output-channel depth in units: how far
 // ahead of the in-order merge a worker may run before blocking. Units are
 // hundreds of iterations (or whole fleets), so a shallow window already
@@ -115,42 +169,14 @@ func (h *unit) record(idx int, ddfs []DDF) {
 // its engine's pooled scratch — the steady-state event-free iteration
 // allocates nothing.
 func RunCollect(spec RunSpec, c Collector) error {
-	if err := spec.Config.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if spec.Iterations < 1 {
-		return fmt.Errorf("sim: iterations must be >= 1, got %d", spec.Iterations)
-	}
-	if spec.Offset < 0 {
-		return fmt.Errorf("sim: stream offset must be >= 0, got %d", spec.Offset)
-	}
 	size := spec.Config.VR.EffectiveBlock()
-	var fc *FleetConfig
 	if spec.Fleet != nil {
-		if spec.Engine != nil {
-			return fmt.Errorf("sim: fleet runs use the dedicated fleet engine; Engine must be nil, got %T", spec.Engine)
-		}
-		f := spec.Fleet.Config(spec.Config)
-		if err := f.Validate(); err != nil {
-			return err
-		}
-		if spec.Iterations%f.Groups != 0 {
-			return fmt.Errorf("sim: fleet runs need iterations (%d) in whole chronologies of %d groups", spec.Iterations, f.Groups)
-		}
-		if spec.Offset%f.Groups != 0 {
-			return fmt.Errorf("sim: fleet stream offset (%d) must be a multiple of the fleet size (%d)", spec.Offset, f.Groups)
-		}
-		fc, size = &f, f.Groups
-	} else {
-		if spec.Engine == nil {
-			spec.Engine = DefaultEngine(spec.Config)
-		}
-		// Uniform feature gating: reject combinations the chosen engine
-		// cannot express (finite spares or coupled topologies off the
-		// event engine, VR off the block engine) before any worker starts.
-		if err := EngineSupports(spec.Engine, spec.Config); err != nil {
-			return err
-		}
+		size = spec.Fleet.Groups
+	} else if spec.Engine == nil {
+		spec.Engine = DefaultEngine(spec.Config)
 	}
 
 	lo, hi := spec.Offset, spec.Offset+spec.Iterations
@@ -179,7 +205,7 @@ func RunCollect(spec RunSpec, c Collector) error {
 		chans[w] = make(chan *unit, unitWindow)
 		go func(w int, out chan<- *unit) {
 			defer wg.Done()
-			wk := newUnitWorker(&spec, fc)
+			wk := newUnitWorker(&spec)
 			defer wk.release()
 			for u := u0 + w; u <= uLast; u += workers {
 				h := unitPool.Get().(*unit)
@@ -222,7 +248,7 @@ func RunCollect(spec RunSpec, c Collector) error {
 		if spec.Config.VR.Enabled() && vrObs != nil {
 			vrObs.ObserveVRBlock(size, h.ez, h.vr)
 		}
-		if fc != nil && fleetObs != nil {
+		if spec.Fleet != nil && fleetObs != nil {
 			fleetObs.ObserveFleetChronology(size, h.fleet)
 		}
 		h.recycle()
@@ -237,7 +263,6 @@ func RunCollect(spec RunSpec, c Collector) error {
 // and every other engine calls SimulateInto once per iteration.
 type unitWorker struct {
 	spec *RunSpec
-	fc   *FleetConfig  // fleet runs only
 	sc   *blockScratch // block-engine runs only
 	err  error         // block scratch preparation failure
 	r    rng.RNG
@@ -246,8 +271,8 @@ type unitWorker struct {
 
 // newUnitWorker prepares one worker's state; a block-scratch preparation
 // failure surfaces from the worker's first fill.
-func newUnitWorker(spec *RunSpec, fc *FleetConfig) *unitWorker {
-	wk := &unitWorker{spec: spec, fc: fc}
+func newUnitWorker(spec *RunSpec) *unitWorker {
+	wk := &unitWorker{spec: spec}
 	if _, ok := spec.Engine.(BlockEngine); ok {
 		wk.sc = blockScratchPool.Get().(*blockScratch)
 		wk.err = wk.sc.prep(&spec.Config)
@@ -269,11 +294,11 @@ func (wk *unitWorker) fill(h *unit, lo, hi int) error {
 	// A fresh unit sizes its weight column once instead of growing it.
 	h.logWs = slices.Grow(h.logWs, hi-lo)
 	switch {
-	case wk.fc != nil:
+	case spec.Fleet != nil:
 		for g := lo; g < hi; g++ {
 			h.logWs = append(h.logWs, 0)
 		}
-		return SimulateFleetInto(*wk.fc, spec.Seed, uint64(lo), h.record, &h.fleet)
+		return SimulateFleetInto(spec.Config, *spec.Fleet, spec.Seed, uint64(lo), h.record, &h.fleet)
 	case wk.sc != nil:
 		if wk.err != nil {
 			return wk.err

@@ -58,26 +58,7 @@ func NormalMeanCI(sample []float64, level float64) (Interval, error) {
 		return Interval{}, fmt.Errorf("stats: confidence level %v outside (0,1)", level)
 	}
 	s := Summarize(sample)
-	z := normalQuantile(0.5 + level/2)
+	z := ZScore(level)
 	half := z * s.StdDev / math.Sqrt(float64(s.N))
 	return Interval{Lo: s.Mean - half, Hi: s.Mean + half, Level: level}, nil
-}
-
-// normalQuantile is a compact rational approximation of the standard normal
-// inverse CDF (Odeh & Evans style), sufficient for CI z-scores.
-func normalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	if p < 0.5 {
-		return -normalQuantile(1 - p)
-	}
-	t := math.Sqrt(-2 * math.Log(1-p))
-	// Abramowitz & Stegun 26.2.23.
-	num := 2.515517 + t*(0.802853+t*0.010328)
-	den := 1 + t*(1.432788+t*(0.189269+t*0.001308))
-	return t - num/den
 }

@@ -99,7 +99,7 @@ func NormalMeanCISorted(sorted []float64, n int, level float64) (Interval, error
 	}
 	ss += float64(n-len(sorted)) * mean * mean
 	variance := ss / float64(n-1)
-	z := normalQuantile(0.5 + level/2)
+	z := ZScore(level)
 	half := z * math.Sqrt(variance) / math.Sqrt(float64(n))
 	return Interval{Lo: mean - half, Hi: mean + half, Level: level}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"raidrel/internal/dist"
 	"raidrel/internal/rng"
 )
 
@@ -234,12 +235,27 @@ func TestNormalMeanCI(t *testing.T) {
 
 func TestNormalQuantileSymmetry(t *testing.T) {
 	for _, p := range []float64{0.6, 0.9, 0.95, 0.975, 0.995} {
-		if math.Abs(normalQuantile(p)+normalQuantile(1-p)) > 1e-12 {
+		if math.Abs(dist.StdNormalQuantile(p)+dist.StdNormalQuantile(1-p)) > 1e-12 {
 			t.Errorf("asymmetric at %v", p)
 		}
 	}
 	// z(0.975) ~ 1.96.
-	if z := normalQuantile(0.975); math.Abs(z-1.96) > 0.01 {
+	if z := dist.StdNormalQuantile(0.975); math.Abs(z-1.96) > 0.01 {
 		t.Errorf("z(0.975) = %v", z)
+	}
+}
+
+// ZScore is exact to well within 1e-9 at the levels intervals use: a
+// coarse rational approximation (errors near 4e-4) would shift every
+// interval's width.
+func TestZScorePinned(t *testing.T) {
+	for _, tc := range []struct{ level, z float64 }{
+		{0.90, 1.6448536269514722},
+		{0.95, 1.959963984540054},
+		{0.99, 2.5758293035489004},
+	} {
+		if got := ZScore(tc.level); math.Abs(got-tc.z) > 1e-9 {
+			t.Errorf("ZScore(%v) = %.12f, want %.12f", tc.level, got, tc.z)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"raidrel/internal/dist"
 )
 
 // This file holds the estimator side of the simulator's variance-reduction
@@ -15,7 +17,7 @@ import (
 // exported so diagnostics (e.g. the campaign's variance-reduction factor)
 // can reconstruct standard errors from reported half-widths.
 func ZScore(level float64) float64 {
-	return normalQuantile(0.5 + level/2)
+	return dist.StdNormalQuantile(0.5 + level/2)
 }
 
 // CVAccum accumulates the first and second co-moments of an observation y
@@ -98,7 +100,7 @@ func (a *CVAccum) Interval(ez, level float64) (Interval, error) {
 	}
 	n := float64(a.n)
 	s := math.Sqrt(resid / (n - 1))
-	z := normalQuantile(0.5 + level/2)
+	z := ZScore(level)
 	half := z * s / math.Sqrt(n)
 	return Interval{Lo: center - half, Hi: center + half, Level: level}, nil
 }

@@ -21,7 +21,7 @@ func WilsonCI(successes, trials int, level float64) (Interval, error) {
 	if level <= 0 || level >= 1 {
 		return Interval{}, fmt.Errorf("stats: confidence level %v outside (0,1)", level)
 	}
-	z := normalQuantile(0.5 + level/2)
+	z := ZScore(level)
 	n := float64(trials)
 	p := float64(successes) / n
 	z2n := z * z / n

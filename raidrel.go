@@ -16,6 +16,11 @@
 //	if err != nil { ... }
 //	fmt.Println(res.DDFsPer1000GroupsAt(87600)) // DDFs per 1,000 groups in 10 years
 //
+// Model.Run is a one-batch adaptive campaign, so variance-reduced and
+// fleet models round the iteration count up to whole units — VR blocks or
+// fleet chronologies — exactly as Model.RunAdaptive rounds its budget;
+// Result.Groups reports the count simulated.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every reproduced table and figure.
 package raidrel
