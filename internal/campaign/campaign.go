@@ -307,6 +307,21 @@ type Result struct {
 	ResumedFrom int
 }
 
+// PointEstimate is the point estimate p̂ of the per-group DDF probability.
+// An importance-sampled or variance-reduced campaign (ESS or VRFactor
+// positive) estimates the (adjusted) mean, the midpoint of its symmetric
+// normal CI; otherwise p̂ is the raw event fraction GroupsWithDDF /
+// Iterations, 0 before any iteration.
+func (r *Result) PointEstimate() float64 {
+	if r.ESS > 0 || r.VRFactor > 0 {
+		return (r.CI.Lo + r.CI.Hi) / 2
+	}
+	if r.Iterations == 0 {
+		return 0
+	}
+	return float64(r.GroupsWithDDF) / float64(r.Iterations)
+}
+
 // Run executes the campaign until a stopping rule fires or ctx is
 // cancelled. Cancellation is not an error: the partial result is returned
 // with Reason == StopCancelled, and the checkpoint file (if configured)

@@ -311,7 +311,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestProgressTelemetry(t *testing.T) {
 	var snaps []Snapshot
-	_, err := Run(context.Background(), Spec{
+	res, err := Run(context.Background(), Spec{
 		Config:        fastConfig(),
 		Seed:          7,
 		BatchSize:     150,
@@ -347,6 +347,10 @@ func TestProgressTelemetry(t *testing.T) {
 	}
 	if final.Iterations != 450 {
 		t.Errorf("final snapshot at %d iterations, want 450", final.Iterations)
+	}
+	// The progress frame's p and the result's p̂ are one rule.
+	if got, want := phat(final), res.PointEstimate(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("final snapshot p = %v, result PointEstimate = %v", got, want)
 	}
 }
 

@@ -294,17 +294,10 @@ func JSONProgress(w io.Writer) Progress {
 	})
 }
 
+// phat is the snapshot's Result.PointEstimate.
 func phat(s Snapshot) float64 {
-	if s.ESS > 0 || s.VRFactor > 0 {
-		// Importance-sampled or variance-reduced campaign: the point
-		// estimate is the (adjusted) mean, the midpoint of the symmetric
-		// normal CI, not the raw event fraction.
-		return (s.CI.Lo + s.CI.Hi) / 2
-	}
-	if s.Iterations == 0 {
-		return 0
-	}
-	return float64(s.GroupsWithDDF) / float64(s.Iterations)
+	r := Result{Iterations: s.Iterations, GroupsWithDDF: s.GroupsWithDDF, CI: s.CI, ESS: s.ESS, VRFactor: s.VRFactor}
+	return r.PointEstimate()
 }
 
 func vrString(s Snapshot) string {

@@ -126,29 +126,6 @@ func (k *Kernel) Draw(r *rng.RNG) float64 {
 	}
 }
 
-// Fill draws len(dst) variates into dst, bit-identical to len(dst)
-// sequential Draw calls. The compiled kinds batch the RNG fill first
-// (rng.ExpFloat64s) and then transform in place, which keeps the generator
-// state hot instead of round-tripping it through every transform.
-func (k *Kernel) Fill(dst []float64, r *rng.RNG) {
-	switch k.kind {
-	case kindGeneric:
-		for i := range dst {
-			dst[i] = k.d.Sample(r)
-		}
-	case kindExponential:
-		r.ExpFloat64s(dst)
-		for i := range dst {
-			dst[i] /= k.scale
-		}
-	default:
-		r.ExpFloat64s(dst)
-		for i := range dst {
-			dst[i] = weibullICDFExp(k.kind, k.loc, k.scale, k.invShape, dst[i])
-		}
-	}
-}
-
 // Compiled reports whether the kernel has a specialized (non-generic) draw
 // routine — i.e. whether FromExp and the hazard-domain helpers below are
 // available. Weibull and Exponential distributions always compile.

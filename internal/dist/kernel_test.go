@@ -56,28 +56,6 @@ func TestKernelDrawMatchesSample(t *testing.T) {
 	}
 }
 
-// TestKernelFillMatchesSequentialDraws asserts the batched Fill contract:
-// one Fill call equals len(dst) sequential Draw calls bit-for-bit.
-func TestKernelFillMatchesSequentialDraws(t *testing.T) {
-	for _, d := range kernelTestDists() {
-		k := Compile(d)
-		for _, n := range []int{1, 7, 256} {
-			rF, rD := rng.New(99), rng.New(99)
-			batch := make([]float64, n)
-			k.Fill(batch, rF)
-			for i := range batch {
-				want := k.Draw(rD)
-				if math.Float64bits(batch[i]) != math.Float64bits(want) {
-					t.Fatalf("%v Fill(%d)[%d] = %v, sequential draw = %v", d, n, i, batch[i], want)
-				}
-			}
-			if rF.Uint64() != rD.Uint64() {
-				t.Fatalf("%v Fill(%d): stream positions diverge", d, n)
-			}
-		}
-	}
-}
-
 // TestTiltedKernelMatchesInterfaceSequence asserts that the fused DrawLR
 // is bit-identical to the interface sequence it replaces — the
 // hazard-scaled draw plus the censored or uncensored log likelihood ratio
@@ -221,7 +199,10 @@ func TestKernelDrawsMatchAnalyticCDF(t *testing.T) {
 	xs := make([]float64, n)
 	for _, d := range dists {
 		k := Compile(d)
-		k.Fill(xs, rng.New(20070625))
+		r := rng.New(20070625)
+		for i := range xs {
+			xs[i] = k.Draw(r)
+		}
 		sort.Float64s(xs)
 		dStat := 0.0
 		for i, x := range xs {
@@ -310,18 +291,6 @@ func BenchmarkKernelTilted(b *testing.B) {
 		}
 		benchSink = sink
 	})
-}
-
-// BenchmarkKernelFill measures the batched draw path.
-func BenchmarkKernelFill(b *testing.B) {
-	k := Compile(MustWeibull(3, 168, 6))
-	dst := make([]float64, 1024)
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Fill(dst, r)
-	}
-	benchSink = dst[0]
 }
 
 var benchSink float64

@@ -49,6 +49,20 @@ func (o Options) validate() error {
 	return nil
 }
 
+// run simulates p at the options' scale: o.Iterations groups from
+// o.Seed, failure-biased at o.BiasOp unless p is a fleet (the fleet
+// engine is unbiased only). Every exhibit runs its models through here.
+func (o Options) run(p core.Params) (*core.Result, error) {
+	if p.Fleet == nil {
+		p.Bias.Op = o.BiasOp
+	}
+	m, err := core.New(p)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(o.Iterations, o.Seed)
+}
+
 // Series is one labelled curve: DDFs per 1,000 RAID groups versus hours.
 type Series struct {
 	Name   string
@@ -66,12 +80,7 @@ func (s Series) Final() float64 {
 
 // runSeries simulates params and samples its cumulative DDF curve.
 func runSeries(name string, p core.Params, opt Options) (Series, *core.Result, error) {
-	p.Bias.Op = opt.BiasOp
-	m, err := core.New(p)
-	if err != nil {
-		return Series{}, nil, fmt.Errorf("experiments: %s: %w", name, err)
-	}
-	res, err := m.Run(opt.Iterations, opt.Seed)
+	res, err := opt.run(p)
 	if err != nil {
 		return Series{}, nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
@@ -188,13 +197,7 @@ func Figure8(opt Options) ([]ROCOFSeries, error) {
 		{"no scrub", 0},
 		{"168 h scrub", 168},
 	} {
-		p := core.BaseCase().WithScrubPeriod(cfg.hours)
-		p.Bias.Op = opt.BiasOp
-		m, err := core.New(p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.Run(opt.Iterations, opt.Seed)
+		res, err := opt.run(core.BaseCase().WithScrubPeriod(cfg.hours))
 		if err != nil {
 			return nil, err
 		}
@@ -286,12 +289,7 @@ func Table3(opt Options) ([]Table3Row, error) {
 		// Table 3 is a first-year quantity; simulating one year keeps the
 		// paper-scale run cheap without changing the counted window.
 		p.MissionHours = analytic.HoursPerYear
-		p.Bias.Op = opt.BiasOp
-		m, err := core.New(p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.Run(opt.Iterations, opt.Seed)
+		res, err := opt.run(p)
 		if err != nil {
 			return nil, err
 		}

@@ -58,11 +58,7 @@ func FleetSweep(opt Options) ([]FleetRow, error) {
 		for _, k := range slots {
 			p := base
 			p.Fleet = &sim.FleetOptions{Groups: groups, MaxConcurrentRebuilds: k}
-			m, err := core.New(p)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fleet %dx%d: %w", groups, k, err)
-			}
-			res, err := m.Run(opt.Iterations, opt.Seed)
+			res, err := opt.run(p)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fleet %dx%d: %w", groups, k, err)
 			}

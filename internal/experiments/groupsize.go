@@ -39,12 +39,7 @@ func GroupSizeSweep(sizes []int, opt Options) ([]GroupSizeRow, error) {
 		}
 		p := core.BaseCase()
 		p.GroupSize = size
-		p.Bias.Op = opt.BiasOp
-		m, err := core.New(p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.Run(opt.Iterations, opt.Seed)
+		res, err := opt.run(p)
 		if err != nil {
 			return nil, err
 		}

@@ -32,12 +32,7 @@ func Sensitivity(factor float64, opt Options) ([]SensitivityRow, error) {
 	}
 	base := core.BaseCase()
 	run := func(p core.Params) (float64, error) {
-		p.Bias.Op = opt.BiasOp
-		m, err := core.New(p)
-		if err != nil {
-			return 0, err
-		}
-		res, err := m.Run(opt.Iterations, opt.Seed)
+		res, err := opt.run(p)
 		if err != nil {
 			return 0, err
 		}

@@ -76,12 +76,7 @@ func TopologySweep(opt Options) ([]TopologyRow, error) {
 	for _, d := range designs {
 		p := base
 		p.Topology = d.topo
-		p.Bias.Op = opt.BiasOp
-		m, err := core.New(p)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: topology %s: %w", d.name, err)
-		}
-		res, err := m.Run(opt.Iterations, opt.Seed)
+		res, err := opt.run(p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: topology %s: %w", d.name, err)
 		}

@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestUint64sMatchesSequential asserts the batched fill's contract: one
 // Uint64s call produces exactly the values (and final generator state) of
@@ -16,24 +13,6 @@ func TestUint64sMatchesSequential(t *testing.T) {
 		for i, got := range dst {
 			if want := seq.Uint64(); got != want {
 				t.Fatalf("n=%d: Uint64s[%d] = %#x, sequential Uint64 = %#x", n, i, got, want)
-			}
-		}
-		if batch.s != seq.s {
-			t.Fatalf("n=%d: generator states diverge after batch fill", n)
-		}
-	}
-}
-
-// TestExpFloat64sMatchesSequential is the same contract for the
-// exponential fill the sampler kernels batch through.
-func TestExpFloat64sMatchesSequential(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 63, 64, 1000} {
-		batch, seq := New(456), New(456)
-		dst := make([]float64, n)
-		batch.ExpFloat64s(dst)
-		for i, got := range dst {
-			if want := seq.ExpFloat64(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d: ExpFloat64s[%d] = %v, sequential ExpFloat64 = %v", n, i, got, want)
 			}
 		}
 		if batch.s != seq.s {
@@ -60,46 +39,10 @@ func TestUint64sAliasedState(t *testing.T) {
 	}
 }
 
-// TestFloat64sMatchesSequential is the sequential-equivalence contract for
-// the uniform fill: one Float64s call produces exactly the values (and
-// final generator state) of len(dst) sequential Float64 calls.
-func TestFloat64sMatchesSequential(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 63, 64, 1000} {
-		batch, seq := New(789), New(789)
-		dst := make([]float64, n)
-		batch.Float64s(dst)
-		for i, got := range dst {
-			if want := seq.Float64(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d: Float64s[%d] = %v, sequential Float64 = %v", n, i, got, want)
-			}
-		}
-		if batch.s != seq.s {
-			t.Fatalf("n=%d: generator states diverge after batch fill", n)
-		}
-	}
-}
-
-// TestFloat64sAliasedState is the state-hoisting guard for Float64s: split
-// fills must continue the stream exactly where the previous fill stopped.
-func TestFloat64sAliasedState(t *testing.T) {
-	r := New(7)
-	want := New(7)
-	var wantVals [8]float64
-	for i := range wantVals {
-		wantVals[i] = want.Float64()
-	}
-	var dst [8]float64
-	r.Float64s(dst[:4])
-	r.Float64s(dst[4:])
-	if dst != wantVals {
-		t.Fatalf("split batch fills: got %v, want %v", dst, wantVals)
-	}
-}
-
 // TestAntitheticComplement pins the antithetic mode's contract: the same
 // seed with antithetic on yields the bitwise complement of every output
 // word — so each derived uniform u' = (2^53-1-u53)/2^53 ~ 1-u — with the
-// state advance untouched, and the batched fills agree with the scalar
+// state advance untouched, and the batched fill agrees with the scalar
 // draws in both modes.
 func TestAntitheticComplement(t *testing.T) {
 	prim, anti := New(99), New(99)
@@ -125,23 +68,16 @@ func TestAntitheticComplement(t *testing.T) {
 		}
 	}
 
-	// Batched fills honour the mask and match scalar draws.
+	// The batched fill honours the mask and matches scalar draws.
 	batch := New(99)
 	batch.SetAntithetic(true)
 	var us [16]uint64
-	var fs [16]float64
 	batch.Uint64s(us[:])
 	seq := New(99)
 	seq.SetAntithetic(true)
 	for i, got := range us {
 		if want := seq.Uint64(); got != want {
 			t.Fatalf("antithetic Uint64s[%d] = %#x, want %#x", i, got, want)
-		}
-	}
-	batch.Float64s(fs[:])
-	for i, got := range fs {
-		if want := seq.Float64(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("antithetic Float64s[%d] = %v, want %v", i, got, want)
 		}
 	}
 
@@ -152,9 +88,8 @@ func TestAntitheticComplement(t *testing.T) {
 	}
 }
 
-// Batched-fill micro-benchmarks, with -benchmem so allocation regressions
-// in the fill paths are visible alongside the ns/op.
-
+// BenchmarkUint64s measures the batched fill, with -benchmem so an
+// allocation regression is visible alongside the ns/op.
 func BenchmarkUint64s(b *testing.B) {
 	r := New(1)
 	dst := make([]uint64, 1024)
@@ -162,25 +97,5 @@ func BenchmarkUint64s(b *testing.B) {
 	b.SetBytes(int64(len(dst) * 8))
 	for i := 0; i < b.N; i++ {
 		r.Uint64s(dst)
-	}
-}
-
-func BenchmarkExpFloat64s(b *testing.B) {
-	r := New(1)
-	dst := make([]float64, 1024)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(dst) * 8))
-	for i := 0; i < b.N; i++ {
-		r.ExpFloat64s(dst)
-	}
-}
-
-func BenchmarkFloat64s(b *testing.B) {
-	r := New(1)
-	dst := make([]float64, 1024)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(dst) * 8))
-	for i := 0; i < b.N; i++ {
-		r.Float64s(dst)
 	}
 }

@@ -143,6 +143,7 @@ func (s *Server) resultDoc(j *Job, res *campaign.Result) resultDoc {
 		ResumedFrom:   res.ResumedFrom,
 		Batches:       res.Batches,
 		GroupsWithDDF: res.GroupsWithDDF,
+		P:             res.PointEstimate(),
 		Confidence:    res.CI.Level,
 		CILo:          res.CI.Lo,
 		CIHi:          res.CI.Hi,
@@ -156,13 +157,6 @@ func (s *Server) resultDoc(j *Job, res *campaign.Result) resultDoc {
 	}
 	if j.Merged {
 		doc.Reason = "merged"
-	}
-	if res.ESS > 0 || res.VRFactor > 0 {
-		// Weighted or variance-reduced estimate: the midpoint of the
-		// symmetric normal CI, not the raw event fraction.
-		doc.P = (res.CI.Lo + res.CI.Hi) / 2
-	} else if res.Iterations > 0 {
-		doc.P = float64(res.GroupsWithDDF) / float64(res.Iterations)
 	}
 	if !math.IsInf(res.RelErr, 1) {
 		relErr := res.RelErr

@@ -116,6 +116,88 @@ func TestMergeShardsValidation(t *testing.T) {
 	}
 }
 
+// FuzzMergeShards builds shard manifests (index, count, offset,
+// iterations, fingerprint) over small SparseResults from the fuzz bytes,
+// corrupting one manifest field of some shards. MergeShards may reject a
+// manifest, but one it accepts must merge to exactly the sum of the shard
+// iterations, with every event inside the merged range and sorted by
+// (Group, Time).
+func FuzzMergeShards(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 1, 5, 0, 2, 7, 9, 0, 4, 0, 1, 1, 0, 0, 0})
+	f.Add([]byte{3, 2, 0, 1, 4, 1, 2, 2, 0, 1, 3, 3, 0, 0, 0, 5, 2})
+	f.Add([]byte{1, 7, 2, 1, 1, 0, 0, 0, 0, 0, 2, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		k := 1 + next()%4
+		shards := make([]ShardResult, k)
+		offset := 0
+		for i := range shards {
+			iters := next() % 8
+			run := &sim.SparseResult{}
+			for g := 0; g < iters; g++ {
+				ddfs := make([]sim.DDF, next()%3)
+				tm := 0.0
+				for d := range ddfs {
+					tm += float64(next())
+					ddfs[d] = sim.DDF{Time: tm, Cause: sim.CauseOpOp}
+				}
+				run.Observe(g, ddfs, 0)
+			}
+			sh := ShardResult{Index: i, Count: k, Offset: offset, Iterations: iters, Fingerprint: "fp", Run: run}
+			switch next() % 8 {
+			case 1:
+				sh.Index = next() % (k + 1)
+			case 2:
+				sh.Count = next() % 5
+			case 3:
+				sh.Offset += next()%3 - 1
+			case 4:
+				sh.Iterations += next()%3 - 1
+			case 5:
+				sh.Fingerprint = "other"
+			case 6:
+				sh.Run = nil
+			}
+			offset += iters
+			shards[i] = sh
+		}
+		// The manifest may arrive in any order.
+		r := next() % k
+		shards = append(shards[r:], shards[:r]...)
+
+		merged, err := MergeShards(shards)
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, sh := range shards {
+			want += sh.Iterations
+		}
+		if merged.Groups != want {
+			t.Fatalf("merged %d groups, manifest declares %d iterations", merged.Groups, want)
+		}
+		for i, e := range merged.Events {
+			if e.Group < 0 || e.Group >= merged.Groups {
+				t.Fatalf("event %d in group %d, outside [0, %d)", i, e.Group, merged.Groups)
+			}
+			if i > 0 {
+				p := merged.Events[i-1]
+				if e.Group < p.Group || e.Group == p.Group && e.Time < p.Time {
+					t.Fatalf("events %d and %d out of (Group, Time) order: %+v then %+v", i-1, i, p, e)
+				}
+			}
+		}
+	})
+}
+
 func TestJobSpecValidation(t *testing.T) {
 	base := JobSpec{Params: fastParams(), Seed: 1, Iterations: 100}
 	if err := base.Validate(); err != nil {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -298,19 +297,10 @@ type blockScratch struct {
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // prep compiles cfg into the scratch and precomputes the acceleration
-// state. cfg must already be validated. On error the scratch is left
-// released.
-func (sc *blockScratch) prep(cfg *Config) error {
-	if cfg.Spares != nil {
-		return errUnsupported("a finite spare pool")
-	}
-	if cfg.Topology.Coupled() {
-		return errUnsupported("a coupled component topology")
-	}
-	// The exp-domain transforms have no generic fallback.
-	if what := uncompiled(cfg); what != "" {
-		return fmt.Errorf("sim: the block engine requires compiled (Weibull or Exponential) kernels, but %s does not compile; use EventEngine", what)
-	}
+// state. cfg must already be validated and supported by the block engine
+// (EngineSupports): every distribution compiles, and nothing couples the
+// slots.
+func (sc *blockScratch) prep(cfg *Config) {
 	sc.kern.compile(cfg)
 	sc.latent = cfg.Trans.TTLd != nil
 	sc.hasScrub = cfg.Trans.TTScrub != nil
@@ -353,7 +343,6 @@ func (sc *blockScratch) prep(cfg *Config) error {
 	if sc.cond {
 		sc.prepCond(cfg)
 	}
-	return nil
 }
 
 // prepCond assembles the analytic.CondDDF model for the conditional-DDF
@@ -432,11 +421,11 @@ func (BlockEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float
 	if err := cfg.Validate(); err != nil {
 		return buf, 0, err
 	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	if err := sc.prep(&cfg); err != nil {
-		blockScratchPool.Put(sc)
+	if err := EngineSupports(BlockEngine{}, cfg); err != nil {
 		return buf, 0, err
 	}
+	sc := blockScratchPool.Get().(*blockScratch)
+	sc.prep(&cfg)
 	sc.col.reset(r, 0, 0)
 	buf, logW, _ := sc.simulateGroup(&cfg, buf)
 	sc.release()

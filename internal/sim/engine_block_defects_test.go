@@ -82,9 +82,7 @@ func TestBlockDefectChainBand(t *testing.T) {
 		cfg := paperBaseConfig()
 		cfg.Trans.TTLd = ttld
 		sc := new(blockScratch)
-		if err := sc.prep(&cfg); err != nil {
-			t.Fatal(err)
-		}
+		sc.prep(&cfg)
 		if sc.ldRate == 0 {
 			t.Fatalf("%v: prep chose the eager layout", ttld)
 		}
@@ -182,9 +180,7 @@ func FuzzBlockDefectChain(f *testing.F) {
 			t.Skip()
 		}
 		var sc blockScratch
-		if err := sc.prep(&cfg); err != nil {
-			t.Fatal(err)
-		}
+		sc.prep(&cfg)
 		if sc.ldRate == 0 {
 			t.Skip() // mission hazard past the band's budget: eager only
 		}
@@ -217,9 +213,7 @@ func TestScrubDeadCut(t *testing.T) {
 		cfg := paperBaseConfig()
 		cfg.Trans.TTScrub = scrub
 		var sc blockScratch
-		if err := sc.prep(&cfg); err != nil {
-			t.Fatal(err)
-		}
+		sc.prep(&cfg)
 		dead := sc.scrubDead
 		if floor := sc.kern.scrub.FromExp(eMax); !(dead >= floor) {
 			t.Fatalf("%v: scrubDead %v below FromExp(-log 2^-53) = %v", scrub, dead, floor)
@@ -285,9 +279,7 @@ func TestDefectLayoutChoice(t *testing.T) {
 		cfg := paperBaseConfig()
 		tc.tweak(&cfg)
 		var sc blockScratch
-		if err := sc.prep(&cfg); err != nil {
-			t.Fatal(err)
-		}
+		sc.prep(&cfg)
 		if lazy := sc.ldRate > 0; lazy != tc.lazy {
 			t.Errorf("%s: lazy layout %v, want %v", tc.name, lazy, tc.lazy)
 		}

@@ -91,12 +91,8 @@ func TestBlockEngineCensorCutVRIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cut, full blockScratch
-	if err := cut.prep(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.prep(&cfg); err != nil {
-		t.Fatal(err)
-	}
+	cut.prep(&cfg)
+	full.prep(&cfg)
 	clear(full.ucut)
 	var r rng.RNG
 	var bufA, bufB []DDF
@@ -131,9 +127,7 @@ func TestDrawTTOpCensorCutBoundary(t *testing.T) {
 	for _, theta := range []float64{8, 0.5, 0} {
 		cfg := rareBiasConfig(theta)
 		var sc blockScratch
-		if err := sc.prep(&cfg); err != nil {
-			t.Fatal(err)
-		}
+		sc.prep(&cfg)
 		draw := func(slot int, x uint64, upFrom float64, gen1 bool) (float64, float64) {
 			sc.col.u[0] = x << 11
 			sc.col.pos, sc.col.strataK = 0, 0

@@ -18,8 +18,12 @@ var _ Engine = EventEngine{}
 // if every draw were taken from it directly. The core's scratch — event
 // queue, slot state, defect lists, spare pool — is pooled and reused, so
 // the steady-state per-iteration cost of an event-free chronology is zero
-// allocations.
-func (EventEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float64, error) {
+// allocations. A config the event engine cannot run (EngineSupports) is
+// rejected before any draw.
+func (e EventEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float64, error) {
+	if err := EngineSupports(e, cfg); err != nil {
+		return buf, 0, err
+	}
 	return simulateGroup(cfg, r, nil, buf)
 }
 

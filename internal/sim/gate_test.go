@@ -9,9 +9,9 @@ import (
 )
 
 // The full feature × engine support matrix, enforced uniformly: every
-// inexpressible combination is rejected — by EngineSupports, by the
-// runner, and by the engine's own SimulateInto — with a descriptive error;
-// every expressible one runs.
+// inexpressible combination is rejected — by EngineSupports, by
+// RunSpec.Validate, by the runner, and by the engine's own SimulateInto —
+// with the same descriptive error; every expressible one runs on all four.
 func TestEngineFeatureMatrix(t *testing.T) {
 	topo := func() *Topology {
 		return &Topology{Components: []Component{{
@@ -20,16 +20,22 @@ func TestEngineFeatureMatrix(t *testing.T) {
 			TTR:  dist.MustExponential(1e-3),
 		}}}
 	}
+	spares := func() *SparePolicy { return &SparePolicy{Initial: 1, ReplenishHours: 24} }
 	features := []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"plain", func(c *Config) {}},
 		{"bias", func(c *Config) { c.Bias = Bias{Op: 4} }},
-		{"spares", func(c *Config) { c.Spares = &SparePolicy{Initial: 1, ReplenishHours: 24} }},
+		{"spares", func(c *Config) { c.Spares = spares() }},
 		{"topology", func(c *Config) { c.Topology = topo() }},
+		{"uncompiled", func(c *Config) {
+			c.SlotTTOp = make([]dist.Distribution, c.Drives)
+			c.SlotTTOp[3] = dist.MustTruncated(dist.MustNormal(2e5, 5e4), 0, 1e6)
+		}},
 		{"vr", func(c *Config) { c.VR = VR{Antithetic: true} }},
 		{"bias+topology", func(c *Config) { c.Bias = Bias{Op: 4}; c.Topology = topo() }},
+		{"vr+spares", func(c *Config) { c.VR = VR{Antithetic: true}; c.Spares = spares() }},
 	}
 	engines := []struct {
 		name string
@@ -46,8 +52,11 @@ func TestEngineFeatureMatrix(t *testing.T) {
 		"bias":          {"default": "", "event-explicit": "", "block": ""},
 		"spares":        {"default": "", "event-explicit": "", "block": "finite spare pool"},
 		"topology":      {"default": "", "event-explicit": "", "block": "coupled component topology"},
+		"uncompiled":    {"default": "", "event-explicit": "", "block": "slot 3's TTOp distribution does not compile"},
 		"vr":            {"default": "", "event-explicit": "variance reduction requires the block engine", "block": ""},
 		"bias+topology": {"default": "", "event-explicit": "", "block": "coupled component topology"},
+		// VR resolves to its only engine, so the default names the spares.
+		"vr+spares": {"default": "finite spare pool", "event-explicit": "variance reduction requires the block engine", "block": "finite spare pool"},
 	}
 
 	for _, f := range features {
@@ -60,35 +69,28 @@ func TestEngineFeatureMatrix(t *testing.T) {
 			}
 			wantSub := want[f.name][e.name]
 
-			gateErr := EngineSupports(e.e, cfg)
-			runErr := RunCollect(RunSpec{Config: cfg, Iterations: 8, Seed: 1, Workers: 2, Engine: e.e},
-				CollectorFunc(func(int, []DDF, float64) {}))
-			for which, err := range map[string]error{"EngineSupports": gateErr, "RunCollect": runErr} {
+			spec := RunSpec{Config: cfg, Iterations: 8, Seed: 1, Workers: 2, Engine: e.e}
+			direct := e.e
+			if direct == nil {
+				direct = DefaultEngine(cfg)
+			}
+			_, _, simErr := direct.SimulateInto(cfg, rng.New(7), nil)
+			for _, v := range []struct {
+				which string
+				err   error
+			}{
+				{"EngineSupports", EngineSupports(e.e, cfg)},
+				{"RunSpec.Validate", spec.Validate()},
+				{"RunCollect", RunCollect(spec, CollectorFunc(func(int, []DDF, float64) {}))},
+				{"SimulateInto", simErr},
+			} {
 				if wantSub == "" {
-					if err != nil {
-						t.Errorf("%s × %s: %s rejected expressible combination: %v", f.name, e.name, which, err)
+					if v.err != nil {
+						t.Errorf("%s × %s: %s rejected expressible combination: %v", f.name, e.name, v.which, v.err)
 					}
-				} else if err == nil || !strings.Contains(err.Error(), wantSub) {
-					t.Errorf("%s × %s: %s = %v, want substring %q", f.name, e.name, which, err, wantSub)
+				} else if v.err == nil || !strings.Contains(v.err.Error(), wantSub) {
+					t.Errorf("%s × %s: %s = %v, want substring %q", f.name, e.name, v.which, v.err, wantSub)
 				}
-			}
-
-			// The engines' own SimulateInto entry points agree with the
-			// gate for their per-slot rows (VR is a runner-level scheme the
-			// engines never see, so it is exempt here).
-			if f.name == "vr" {
-				continue
-			}
-			if _, ok := e.e.(BlockEngine); !ok {
-				continue
-			}
-			_, _, err := e.e.SimulateInto(cfg, rng.New(7), nil)
-			if wantSub == "" {
-				if err != nil {
-					t.Errorf("%s × %s: SimulateInto rejected expressible combination: %v", f.name, e.name, err)
-				}
-			} else if err == nil || !strings.Contains(err.Error(), wantSub) {
-				t.Errorf("%s × %s: SimulateInto = %v, want substring %q", f.name, e.name, err, wantSub)
 			}
 		}
 	}

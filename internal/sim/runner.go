@@ -60,9 +60,8 @@ func (spec RunSpec) Validate() error {
 	}
 	f := spec.Fleet
 	if f == nil {
-		// Uniform feature gating: reject combinations the chosen engine
-		// cannot express (finite spares or coupled topologies off the
-		// event engine, VR off the block engine) before any worker starts.
+		// The engine × feature table (gate.go) rejects a combination the
+		// chosen engine cannot run before any worker starts.
 		return EngineSupports(spec.Engine, spec.Config)
 	}
 	if spec.Engine != nil {
@@ -264,18 +263,16 @@ func RunCollect(spec RunSpec, c Collector) error {
 type unitWorker struct {
 	spec *RunSpec
 	sc   *blockScratch // block-engine runs only
-	err  error         // block scratch preparation failure
 	r    rng.RNG
 	buf  []DDF
 }
 
-// newUnitWorker prepares one worker's state; a block-scratch preparation
-// failure surfaces from the worker's first fill.
+// newUnitWorker prepares one worker's state for a validated spec.
 func newUnitWorker(spec *RunSpec) *unitWorker {
 	wk := &unitWorker{spec: spec}
 	if _, ok := spec.Engine.(BlockEngine); ok {
 		wk.sc = blockScratchPool.Get().(*blockScratch)
-		wk.err = wk.sc.prep(&spec.Config)
+		wk.sc.prep(&spec.Config)
 	}
 	return wk
 }
@@ -300,9 +297,6 @@ func (wk *unitWorker) fill(h *unit, lo, hi int) error {
 		}
 		return SimulateFleetInto(spec.Config, *spec.Fleet, spec.Seed, uint64(lo), h.record, &h.fleet)
 	case wk.sc != nil:
-		if wk.err != nil {
-			return wk.err
-		}
 		wk.fillBlock(h, lo, hi)
 		return nil
 	}

@@ -164,26 +164,23 @@ type FleetTally struct {
 	MaxExposureHours float64 `json:"max_exposure_hours"`
 }
 
-// add folds one chronology's statistics into the tally.
+// add folds one chronology's statistics into the tally, as the merge of
+// that chronology's one-chronology tally.
 func (t *FleetTally) add(groups int, st FleetStats) {
-	t.Chronologies++
-	t.GroupsPer = groups
-	t.Failures += st.Failures
-	t.Rebuilds += st.Rebuilds
-	t.Waited += st.Waited
-	t.ActiveAtEnd += st.ActiveAtEnd
-	t.QueuedAtEnd += st.QueuedAtEnd
-	t.TotalWaitHours += st.TotalWaitHours
-	if st.MaxWaitHours > t.MaxWaitHours {
-		t.MaxWaitHours = st.MaxWaitHours
-	}
-	if st.MaxQueueDepth > t.MaxQueueDepth {
-		t.MaxQueueDepth = st.MaxQueueDepth
-	}
-	t.MeanDepthSum += st.MeanQueueDepth
-	if st.MaxExposureHours > t.MaxExposureHours {
-		t.MaxExposureHours = st.MaxExposureHours
-	}
+	t.merge(&FleetTally{
+		Chronologies:     1,
+		GroupsPer:        groups,
+		Failures:         st.Failures,
+		Rebuilds:         st.Rebuilds,
+		Waited:           st.Waited,
+		ActiveAtEnd:      st.ActiveAtEnd,
+		QueuedAtEnd:      st.QueuedAtEnd,
+		TotalWaitHours:   st.TotalWaitHours,
+		MaxWaitHours:     st.MaxWaitHours,
+		MaxQueueDepth:    st.MaxQueueDepth,
+		MeanDepthSum:     st.MeanQueueDepth,
+		MaxExposureHours: st.MaxExposureHours,
+	})
 }
 
 // merge folds another tally in, preserving the same invariants Merge

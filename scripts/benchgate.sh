@@ -36,7 +36,7 @@ MAX_PCT="${MAX_REGRESSION_PCT:-10}"
 # BenchmarkAdaptiveCampaignBiased). Sub-benchmarks of the listed names are
 # included. A pinned benchmark the base does not have yet is reported as
 # new and not gated.
-PIN='^(BenchmarkKernelWeibull|BenchmarkKernelTilted|BenchmarkKernelFill|BenchmarkEngineTimelineInto|BenchmarkEngineTimelineFlatTopoInto|BenchmarkEngineTimelineBiasedInto|BenchmarkEngineBlockInto|BenchmarkEngineBlockBiasedInto|BenchmarkEngineBlockVRInto|BenchmarkFleetInto|BenchmarkRunSparse|BenchmarkAdaptiveCampaign|BenchmarkAdaptiveCampaignBiased)$'
+PIN='^(BenchmarkKernelWeibull|BenchmarkKernelTilted|BenchmarkEngineTimelineInto|BenchmarkEngineTimelineFlatTopoInto|BenchmarkEngineTimelineBiasedInto|BenchmarkEngineBlockInto|BenchmarkEngineBlockBiasedInto|BenchmarkEngineBlockVRInto|BenchmarkFleetInto|BenchmarkRunSparse|BenchmarkAdaptiveCampaign|BenchmarkAdaptiveCampaignBiased)$'
 # The block engine must hold its speedup over the event engine
 # (BENCH_sim.json): block median <= event/MIN_SPEEDUP. 1.8 carries over the
 # retired "block no slower than the interval engine" floor, the interval
