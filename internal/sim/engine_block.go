@@ -16,13 +16,14 @@ import (
 // for DDFs. It is the second, independent implementation of the group
 // chronology next to EventEngine; the pair cross-validate statistically in
 // tests. It consumes the RNG through a prefetched uniform column — bulk
-// rng.Uint64s refills of one small fixed size, the exponential transform
-// taken per draw on demand — and runs the compiled kernel transforms as
-// flat array math. Its output is pinned draw for draw by the block/* and
-// block-direct/* golden digests (testdata/stream_digests.txt): the same
-// stream yields the same DDFs and the same log weight.
+// rng.Uint64s refills of one small fixed size converted to uniforms at the
+// refill, the exponential transform taken per draw on demand — and runs
+// the compiled kernel transforms as flat array math. Its output is pinned
+// draw for draw by the block/* and block-direct/* golden digests
+// (testdata/stream_digests.txt): the same stream yields the same DDFs and
+// the same log weight.
 //
-// Five lazy-transform shortcuts keep the per-iteration math sublinear in
+// Six lazy-transform shortcuts keep the per-iteration math sublinear in
 // the draw count without changing a single output bit:
 //
 //   - An operational draw whose raw uniform lies below the slot's censor
@@ -54,13 +55,21 @@ import (
 //     column uniform has an exponential variate above -log(2^-53) =
 //     36.74, so no scrub draw outlives that offset.
 //   - Defect arrivals of a Poisson TTLd process (dist.AsPoissonRate)
-//     stay raw uniforms too: the chain end is decided by the running
-//     product of the uniforms against e^(-h) (guard-banded, with the
-//     exact sum as fallback), and a start is computed, in stream order,
-//     only when the sweep or the conditional variate first reads it
-//     (layPoisson, startAt). The layout is chosen once per run in prep:
-//     configurations that expect many first-generation failures (strong
-//     TTOp tilts) read nearly every arrival and are laid eagerly.
+//     stay raw uniforms too, each with its clock value: the running
+//     product of its chain's uniforms scaled to e^(-start·rate) (ldClock).
+//     The chain end is decided by comparing that product with the window
+//     end's clock (guard-banded, with the exact sum as fallback), and a
+//     start is computed, in stream order, only when it is actually needed
+//     (layPoisson, materialize). The layout is chosen once per run in
+//     prep: configurations that expect many first-generation failures
+//     (strong TTOp tilts) read nearly every arrival and are laid eagerly.
+//   - Liveness queries on such arrivals are start-free (scanLive): an
+//     arrival whose clock value says it certainly starts after the query
+//     time stops the scan, and one that certainly started scrubDead or
+//     more before it (or whose drive has failed) is passed over as dead,
+//     its start never computed. Only an arrival in the live window, or
+//     inside the guard band of a query clock, is materialized — about
+//     2.8 per scrubbed base-case group of ~76 arrivals.
 //
 // The engine requires every configured transition distribution to compile
 // to a specialized kernel (dist.Kernel.Compiled — Weibull or Exponential,
@@ -95,30 +104,41 @@ type intervalFailure struct {
 	op   opInterval
 }
 
-// colChunk is the uniforms fetched per bulk RNG refill — every refill,
-// the first included. Small, because the generator work past the last
-// draw an iteration consumes is pure waste (the runner reseeds per
-// iteration): a rare-event iteration draws about ten uniforms, a scrubbed
-// base-case one ~170, and a refill's fixed cost is a call plus a state
-// load and store.
-const colChunk = 32
+// colChunk is the uniforms fetched per bulk RNG refill, and colFirst those
+// of an iteration's first refill. Small, because the generator work and
+// the float conversions past the last draw an iteration consumes are pure
+// waste (the runner reseeds per iteration): a rare-event iteration draws
+// about ten uniforms, which the first refill covers, a scrubbed base-case
+// one ~170, and a refill's fixed cost is a call plus a state load and
+// store.
+const (
+	colChunk = 32
+	colFirst = 16
+)
 
 // drawCol is the prefetched draw column: raw uniforms filled in bulk
-// colChunk at a time, the exponential transform applied on demand at
-// consumption (so draws whose log is never needed — scrub variates
-// resolved lazily, operational draws censored below their cut — never pay
-// for it), and the stratification override for the iteration's first
-// accepted uniform.
+// colChunk at a time (colFirst for an iteration's first refill) and
+// converted to floats at the refill, the
+// exponential transform applied on demand at consumption (so draws whose
+// log is never needed — scrub variates resolved lazily, operational draws
+// censored below their cut, lazily laid defect arrivals — never pay for
+// it), and the stratification override for the iteration's first accepted
+// uniform.
 type drawCol struct {
 	r *rng.RNG
 	// pos is the next entry to consume; colChunk means the column is
-	// spent (every refill fills it whole).
-	pos int
+	// spent (every refill fills it up to the end, the first of an
+	// iteration from colChunk-colFirst on).
+	pos   int
+	fresh bool // no refill yet this iteration
 	// When strataK > 0 the next accepted (nonzero) uniform u is replaced
 	// by (strataJ + u)/strataK before the exponential transform — the
 	// within-block stratification of the first operational-failure draw.
 	strataJ, strataK float64
-	u                [colChunk]uint64
+	// u holds the chunk's uniforms, every entry nonzero (see refill);
+	// raw is the refill's generator output.
+	u   [colChunk]float64
+	raw [colChunk]uint64
 }
 
 // reset binds the column to a generator for one iteration, dropping any
@@ -126,46 +146,65 @@ type drawCol struct {
 // of k (k = 0 disables stratification).
 func (c *drawCol) reset(r *rng.RNG, j, k int) {
 	c.r = r
-	c.pos = colChunk
+	c.pos, c.fresh = colChunk, true
 	c.strataJ, c.strataK = float64(j), float64(k)
 }
 
-// refill fetches the next chunk of raw uniforms. The chunking is
-// invisible to the draw sequence — Uint64s is identical to sequential
-// Uint64 calls regardless of slice length.
+// refill fetches the next chunk of uniforms, each rng.Float64's value.
+// The chunking is invisible to the draw sequence — Uint64s is identical
+// to sequential Uint64 calls regardless of slice length. A zero uniform
+// (probability 2^-53 per entry) is dropped, the later entries moving down
+// and fresh draws topping the chunk up, so the column holds the nonzero
+// uniforms of the stream in order, exactly what rng.Float64Open's retry
+// returns.
 func (c *drawCol) refill() {
-	c.r.Uint64s(c.u[:])
 	c.pos = 0
+	if c.fresh {
+		c.pos, c.fresh = colChunk-colFirst, false
+	}
+	c.r.Uint64s(c.raw[c.pos:])
+	least := uint64(1 << 53)
+	for i := c.pos; i < colChunk; i++ {
+		x := c.raw[i] >> 11
+		// x < 2^53 converts exactly through int64, one instruction where
+		// the uint64 conversion branches on the top bit.
+		c.u[i] = float64(int64(x)) / (1 << 53)
+		least = min(least, x)
+	}
+	if least == 0 {
+		c.dropZeros()
+	}
+}
+
+// dropZeros compacts the zero uniforms out of the chunk's unread entries
+// and tops it up from the generator, skipping zeros there too.
+func (c *drawCol) dropZeros() {
+	w := c.pos
+	for _, u := range c.u[c.pos:] {
+		if u > 0 {
+			c.u[w] = u
+			w++
+		}
+	}
+	for w < colChunk {
+		if u := c.r.Float64(); u > 0 {
+			c.u[w] = u
+			w++
+		}
+	}
 }
 
 // nextUniform returns the next nonzero uniform in (0,1), bit-identical to
-// rng.Float64Open on the same stream: zero uniforms are consumed and
-// retried. The exponential transform -log(u) is left to the caller, who
-// may never need it. The common case — entry available, nonzero — stays
-// short; refills and the (2^-53-probability) zero retry live in the slow
-// path.
+// rng.Float64Open on the same stream. The exponential transform -log(u) is
+// left to the caller, who may never need it. Refill has dropped the
+// zeros, so the common case is a bounds check and a load, small enough to
+// inline at every draw site (CI checks that it stays inlinable).
 func (c *drawCol) nextUniform() float64 {
-	if c.pos < colChunk {
-		u := float64(c.u[c.pos]>>11) / (1 << 53)
-		c.pos++
-		if u > 0 {
-			return u
-		}
+	if c.pos == colChunk {
+		c.refill()
 	}
-	return c.nextUniformSlow()
-}
-
-func (c *drawCol) nextUniformSlow() float64 {
-	for {
-		if c.pos == colChunk {
-			c.refill()
-		}
-		u := float64(c.u[c.pos]>>11) / (1 << 53)
-		c.pos++
-		if u > 0 {
-			return u
-		}
-	}
+	c.pos++
+	return c.u[c.pos-1]
 }
 
 // nextExp returns the next unit-exponential variate, bit-identical to
@@ -201,8 +240,8 @@ func (c *drawCol) nextOpenStrata() float64 {
 // exponential transform -log(u) and the kernel quantile are paid only on
 // the first liveness query (memoized); defects never queried never
 // transform at all. A defect of a lazily laid Poisson chain may hold its
-// arrival uniform in place of its start until the start is first read
-// (see startAt).
+// arrival uniform in place of its start until the start is needed (see
+// layPoisson and scanLive).
 type blockDefect struct {
 	// start is the creation time, or, while pending, the arrival's raw
 	// uniform.
@@ -211,8 +250,9 @@ type blockDefect struct {
 	// ue holds the scrub draw: the raw uniform until the first liveness
 	// query logs it (logged), the unit exponential after.
 	ue float64
-	// end is the memoized natural end once resolved; while the defect is
-	// a pendingHead it holds its chain's generation start instead.
+	// end is the memoized natural end once resolved. While the defect is
+	// pending it holds its chain's generation start (pendingHead) or its
+	// clock value (pendingLink; see ldClock) instead.
 	end      float64
 	logged   bool
 	resolved bool
@@ -229,14 +269,16 @@ const (
 	// chain's generation start (held in end) plus its own inter-arrival.
 	pendingHead
 	// pendingLink: a later arrival of a lazy chain; its start is the
-	// previous defect's start plus its own inter-arrival.
+	// previous defect's start plus its own inter-arrival, and its clock
+	// value the previous one's times its uniform.
 	pendingLink
 )
 
 // blockChronology is a slot's timeline in the block engine's lazy form.
 // scan is the sweep's dead-prefix cursor: defects below it were found dead
 // at an earlier (hence smaller, the sweep ascends) query time, and
-// liveness is monotone, so they can never answer live again.
+// liveness is monotone, so they can never answer live again. It advances
+// over pending defects found dead start-free as over materialized ones.
 type blockChronology struct {
 	ops     []opInterval
 	defects []blockDefect
@@ -279,10 +321,15 @@ type blockScratch struct {
 	// covers the arrival sum's rounding.
 	ldRate     float64
 	ldMaxChain int
-	// ldH and ldC memoize the last window's e^(-h) = ldC: most windows
-	// span the whole mission (a first-generation drive that outlives it),
-	// so most chains share one h.
-	ldH, ldC float64
+	// ldMissionC = ldClock(ldMission), the clock at the mission, where
+	// most windows end (a first-generation drive that outlives it); ldLast
+	// and ldLastC memoize the last other clock taken: a drive failure
+	// ends one window, starts the next and is queried at.
+	ldMission, ldMissionC float64
+	ldLast, ldLastC       float64
+	// ldDeadF = e^(scrubDead·rate), so that ldClock(t - scrubDead) =
+	// ldClock(t)·ldDeadF takes no exp of its own (+Inf without scrub).
+	ldDeadF float64
 	// cond marks the conditional-DDF variate (VR.CondVariate): z becomes
 	// the first-generation kill count κ summed over failing slots, judged
 	// against the deterministic condWindow (mean TTR) and the drawn
@@ -494,7 +541,7 @@ func (sc *blockScratch) simulateGroup(cfg *Config, buf []DDF) ([]DDF, float64, f
 		}
 		failedOthers := 0
 		var defect *blockDefect
-		defectStart := math.Inf(1)
+		q := sc.query(t)
 		for k := range chrons {
 			if k == f.slot {
 				continue
@@ -503,30 +550,20 @@ func (sc *blockScratch) simulateGroup(cfg *Config, buf []DDF) ([]DDF, float64, f
 				failedOthers++
 				continue
 			}
-			// Defect starts are ascending within a slot, so the scan can
-			// stop at the first start past t (nothing later covers t) or
-			// past the best candidate (nothing later beats it), and the
-			// first live defect found is the slot's min-start live one —
-			// the same winner, under the same strict-< tie rule, as a full
-			// scan of the slot's defects. The scan starts at the
-			// dead-prefix cursor (failures sweep in ascending t and
-			// liveness is monotone, so a leading dead defect stays dead)
-			// and advances it over newly dead leading defects.
+			// The scan starts at the dead-prefix cursor (failures sweep in
+			// ascending t and liveness is monotone, so a leading dead
+			// defect stays dead) and advances it over newly dead leading
+			// defects. Once a slot yields a live defect, later slots only
+			// look for one that started before it.
 			ch := &chrons[k]
-			ds := ch.defects
-			for di := ch.scan; di < len(ds); di++ {
-				start := sc.startAt(ds, di)
-				if start > t || start >= defectStart {
-					break
-				}
-				if d := &ds[di]; sc.defectLive(d, t) {
-					defectStart = start
-					defect = d
-					break
-				}
-				if di == ch.scan {
-					ch.scan = di + 1
-				}
+			if ch.scan == len(ch.defects) {
+				continue // no defects left to scan; spare the call
+			}
+			var live int
+			live, ch.scan = sc.scanLive(ch.defects, ch.scan, &q)
+			if live >= 0 {
+				defect = &ch.defects[live]
+				q.stopBefore(sc, defect.start)
 			}
 		}
 		switch {
@@ -556,7 +593,8 @@ func (sc *blockScratch) simulateGroup(cfg *Config, buf []DDF) ([]DDF, float64, f
 // first generation (T_m > T_s) with a drawn defect alive at T_s. Judged
 // only against first-generation structures, whose joint law the
 // analytic.CondDDF quadrature integrates exactly (sc.ez); defect liveness
-// reuses the lazily memoized defectLive, so the sweep pays nothing twice.
+// goes through the sweep's scanLive, whose materialized starts and
+// memoized scrub ends the sweep then reuses, so it pays nothing twice.
 // Must be called before the sweep mutates defect caps.
 func (sc *blockScratch) condZ() float64 {
 	chrons := sc.chrons
@@ -567,6 +605,7 @@ func (sc *blockScratch) condZ() float64 {
 			continue // first-generation failure censored past the mission
 		}
 		t := chrons[s].ops[0].Fail
+		q := sc.query(t)
 		kill := false
 		for m := range chrons {
 			if m == s {
@@ -585,17 +624,8 @@ func (sc *blockScratch) condZ() float64 {
 			}
 			// Mate still in generation 1 at t: every defect with start <= t
 			// is first-generation (later generations start past T_m > t).
-			ds := mc.defects
-			for di := range ds {
-				if sc.startAt(ds, di) > t {
-					break
-				}
-				if sc.defectLive(&ds[di], t) {
-					kill = true
-					break
-				}
-			}
-			if kill {
+			if live, _ := sc.scanLive(mc.defects, 0, &q); live >= 0 {
+				kill = true
 				break
 			}
 		}
@@ -732,27 +762,28 @@ func (sc *blockScratch) appendDefects(ch *blockChronology, genStart, windowEnd, 
 		if t >= windowEnd {
 			return logW
 		}
-		sc.pushDefect(ch, blockDefect{start: t, cap: driveFail})
+		sc.pushDefect(ch, t, driveFail)
 	}
 }
 
-// Constants of the lazy defect layout (layPoisson, defectLive).
+// Constants of the lazy defect layout (layPoisson, scanLive, defectLive).
 const (
 	// scrubDeadExp bounds every unit exponential a scrub draw can take:
 	// the column's smallest nonzero uniform is 2^-53, and -log(2^-53) =
 	// 36.74 (stratification only ever remaps operational draws).
 	scrubDeadExp = 37
-	// ldBand is the relative guard band around e^(-h) inside which
-	// layPoisson settles a chain's end by the exact arrival sum.
+	// ldBand is the relative guard band around a clock value inside which
+	// the product cannot order an arrival's start against a time, and the
+	// exact start decides (see layPoisson).
 	ldBand = 0x1p-24
 	// ldBandBudget bounds (n+10)·(Mission·rate+1), the rounding of an
 	// n-arrival chain in units of 2^-53 (see layPoisson), so that it stays
 	// within half the band: 2^-25 / 2^-53 = 2^28.
 	ldBandBudget = 1 << 28
-	// ldMaxWindowHazard bounds a lazily laid window's expected arrival
-	// count h, keeping e^(-h) (≥ 1e-304) a normal float with the band
-	// around it.
-	ldMaxWindowHazard = 700
+	// ldMaxHazard bounds Mission·rate, a slot's expected arrival count
+	// over the mission, keeping every clock value e^(-x·rate) (≥ 1e-304)
+	// a normal float with the band around it.
+	ldMaxHazard = 700
 	// ldLazyMaxFailures is the crossover in expected first-generation
 	// failures per group (under the sampling law) past which the eager
 	// layout is faster: frequent failures cut windows short and get
@@ -790,13 +821,15 @@ func (sc *blockScratch) prepDefectLayout(cfg *Config) {
 	if failures > ldLazyMaxFailures {
 		return
 	}
-	n := ldBandBudget/(cfg.Mission*rate+1) - 10
-	if !(n >= 1) {
+	m := cfg.Mission * rate
+	if !(m <= ldMaxHazard) {
 		return
 	}
 	sc.ldRate = rate
-	sc.ldMaxChain = int(min(n, math.MaxInt32))
-	sc.ldH, sc.ldC = 0, 1
+	sc.ldMaxChain = int(ldBandBudget/(m+1) - 10) // ≥ 382,921 for m ≤ 700
+	sc.ldMission, sc.ldMissionC = cfg.Mission, math.Exp(-cfg.Mission*rate)
+	sc.ldLast, sc.ldLastC = 0, 1
+	sc.ldDeadF = math.Exp(sc.scrubDead * rate)
 }
 
 // layEager lays a plain renewal chain's arrivals after t up to windowEnd,
@@ -809,7 +842,7 @@ func (sc *blockScratch) layEager(ch *blockChronology, t, windowEnd, driveFail fl
 		if t >= windowEnd {
 			return
 		}
-		sc.pushDefect(ch, blockDefect{start: t, cap: driveFail})
+		sc.pushDefect(ch, t, driveFail)
 	}
 }
 
@@ -825,41 +858,61 @@ func (sc *blockScratch) ldStep(t, u float64) float64 {
 	return t + sc.kern.ttld.FromExp(-math.Log(u))
 }
 
+// ldClock maps time x onto the lazy chains' product clock, e^(-x·rate). A
+// lazily laid arrival's clock value is e^(-genStart·rate) times
+// the product of its chain's uniforms through it, which in exact
+// arithmetic is ldClock of its start, so the arrival starts after x
+// exactly when its clock value is below ldClock(x). Most chains start at
+// 0 and end at the mission, and a drive failure's time is taken up to
+// three times, so those cost no exp.
+func (sc *blockScratch) ldClock(x float64) float64 {
+	switch x {
+	case 0:
+		return 1
+	case sc.ldMission:
+		return sc.ldMissionC
+	case sc.ldLast:
+		return sc.ldLastC
+	}
+	sc.ldLast, sc.ldLastC = x, math.Exp(-x*sc.ldRate)
+	return sc.ldLastC
+}
+
 // layPoisson is the lazy layout of a Poisson defect chain of rate
 // sc.ldRate on [genStart, windowEnd): the same uniforms drawn in the same
 // order as layEager, but each arrival stored as its raw uniform (pending)
-// and its start left to startAt. The chain ends at the first arrival k
-// whose exact start reaches windowEnd, i.e. (in exact arithmetic) where
-// Σ_{i≤k} -log u_i ≥ h = (windowEnd-genStart)·rate, i.e. Π u_i ≤ e^(-h) —
-// so the end is decided from the running product, without a log. A
-// product within a relative ldBand of e^(-h) falls back to the exact
-// sequential sum, and every certain verdict matches layEager's.
+// with its clock value, and its start left to materialize. The chain ends
+// at the first arrival k whose exact start reaches windowEnd, i.e. (in
+// exact arithmetic) where Σ_{i≤k} -log u_i ≥ (windowEnd-genStart)·rate,
+// i.e. where its clock value ldClock(genStart)·Π u_i ≤ ldClock(windowEnd)
+// — so the end is decided from the running product, without a log. A
+// product within a relative ldBand of ldClock(windowEnd) falls back to the
+// exact sequential sum, and every certain verdict matches layEager's.
+// scanLive orders pending arrivals against query times the same way.
 //
 // Margin sketch, in units of ε = 2^-53 and hazard (arrival-count) units,
-// m = Mission·rate ≥ h. The product of n uniforms carries ≤ n relative
-// roundings while it stays normal, which h ≤ ldMaxWindowHazard secures
-// wherever it is compared near e^(-h) (a product that underflows is
-// already a factor 2^53 below it). The float chain layEager evaluates
-// differs from the exact sum by ≤ 3ε·h for the n logs and kernel
-// transforms and ≤ ε·m per addition (every partial start is below
-// windowEnd ≤ Mission), n+1 of them counting the final comparison;
-// e^(-h) itself carries ≤ 5 more (windowEnd-genStart, the rate, the
-// product with it, exp, the band factor). Together ≤ (n+10)·(m+1)·ε,
-// which prepDefectLayout keeps within half the band by capping n at
-// ldMaxChain; a chain reaching the cap, like a window past
-// ldMaxWindowHazard, is laid eagerly from there.
+// m = Mission·rate ≥ h = (windowEnd-genStart)·rate; a relative error δ of
+// a clock value is a hazard error δ. The product of n uniforms and the
+// genStart clock carries ≤ n+1 relative roundings while it stays normal,
+// which m ≤ ldMaxHazard secures. The genStart and windowEnd clocks carry
+// ≤ m/2 each for the time × rate product and ≤ 1 for the exp, the band
+// factor 1 more. The float chain layEager evaluates differs from the
+// exact sum by ≤ 3ε·h for the n logs and kernel transforms and ≤ ε·m per
+// addition (every partial start is below windowEnd ≤ Mission), n+1 of
+// them counting the final comparison. Together ≤ (n+10)·(m+1)·ε, which
+// prepDefectLayout keeps within half the band by capping n at ldMaxChain;
+// a chain reaching the cap is laid eagerly from there. scanLive compares
+// the same float chain with a query's clocks: ldClock(t) as above, and
+// ldClock(t - scrubDead) taken as ldClock(t)·e^(scrubDead·rate), ≤ m/2+2
+// more wherever t - scrubDead ≥ 0 (elsewhere its exact value exceeds 1
+// and no clock value, a product of factors ≤ 1, can pass it). That
+// comes to ≤ (n+6)·(m+1), inside the same bound; and a float start
+// certainly below t - scrubDead has start + scrubDead ≤ t after rounding,
+// t being a float.
 func (sc *blockScratch) layPoisson(ch *blockChronology, genStart, windowEnd, driveFail float64) {
-	h := (windowEnd - genStart) * sc.ldRate
-	if !(h <= ldMaxWindowHazard) {
-		sc.layEager(ch, genStart, windowEnd, driveFail)
-		return
-	}
-	if h != sc.ldH {
-		sc.ldH, sc.ldC = h, math.Exp(-h)
-	}
-	hi, lo := sc.ldC*(1+ldBand), sc.ldC*(1-ldBand)
-	state := pendingHead
-	p := 1.0
+	c := sc.ldClock(windowEnd)
+	hi, lo := c*(1+ldBand), c*(1-ldBand)
+	p := sc.ldClock(genStart)
 	for n := 0; ; n++ {
 		u := sc.col.nextUniform()
 		p *= u
@@ -871,41 +924,40 @@ func (sc *blockScratch) layPoisson(ch *blockChronology, genStart, windowEnd, dri
 			// and the rest of the chain by the exact sum.
 			t := genStart
 			if n > 0 {
-				t = sc.startAt(ch.defects, len(ch.defects)-1)
+				t = sc.materialize(ch.defects, len(ch.defects)-1)
 			}
 			if t = sc.ldStep(t, u); t < windowEnd {
-				sc.pushDefect(ch, blockDefect{start: t, cap: driveFail})
+				sc.pushDefect(ch, t, driveFail)
 				sc.layEager(ch, t, windowEnd, driveFail)
 			}
 			return
 		}
-		sc.pushDefect(ch, blockDefect{start: u, cap: driveFail, end: genStart, pending: state})
-		state = pendingLink
+		d := sc.pushDefect(ch, u, driveFail)
+		d.end, d.pending = genStart, pendingHead
+		if n > 0 {
+			d.end, d.pending = p, pendingLink
+		}
 	}
 }
 
-// pushDefect records defect d, its scrub variate drawn (in stream order)
-// but kept as the raw uniform, untransformed.
-func (sc *blockScratch) pushDefect(ch *blockChronology, d blockDefect) {
+// pushDefect records a defect starting at start (or, for the caller to
+// mark pending, holding its arrival uniform there) whose drive fails at
+// driveFail, its scrub variate drawn (in stream order) but kept as the raw
+// uniform, untransformed, and returns it. The entry is written field by
+// field in place: a composite literal would be built in a stack temporary
+// whose wide copy stalls on the narrow stores just made to it.
+func (sc *blockScratch) pushDefect(ch *blockChronology, start, driveFail float64) *blockDefect {
+	ch.defects = append(ch.defects, blockDefect{})
+	d := &ch.defects[len(ch.defects)-1]
+	d.start, d.cap = start, driveFail
 	if sc.hasScrub {
 		d.ue = sc.col.nextUniform()
 	}
-	ch.defects = append(ch.defects, d)
+	return d
 }
 
-// startAt returns defect di's start, materializing it first if pending.
-// The sweep and condZ read a slot's defects in index order from one
-// already read (or from the first), so a pending defect's predecessor is
-// usually materialized and materialize takes one step.
-func (sc *blockScratch) startAt(ds []blockDefect, di int) float64 {
-	if ds[di].pending == materialized {
-		return ds[di].start
-	}
-	return sc.materialize(ds, di)
-}
-
-// materialize computes the pending starts of defect di's chain through
-// di, in stream order through ldStep, and returns di's.
+// materialize computes the pending starts of pending defect di's chain
+// through di, in stream order through ldStep, and returns di's.
 func (sc *blockScratch) materialize(ds []blockDefect, di int) float64 {
 	j := di
 	for ds[j].pending == pendingLink && ds[j-1].pending != materialized {
@@ -920,6 +972,93 @@ func (sc *blockScratch) materialize(ds []blockDefect, di int) float64 {
 		ds[j].start, ds[j].pending = t, materialized
 	}
 	return t
+}
+
+// liveQuery is one defect-liveness query at time t: scanLive looks for
+// the first defect live at t, stopping at the first start past t or at or
+// past before (+Inf until a live defect bounds the search). The rest are
+// clock values (ldClock) with the guard band applied, for the start-free
+// verdicts on pending defects: a pending defect whose clock value k is
+// below stopLo certainly starts past the stop bound, above stopHi
+// certainly before it, and above deadHi certainly scrubDead or more
+// before t. On an eager layout nothing is pending and they go unused.
+type liveQuery struct {
+	t, before              float64
+	stopLo, stopHi, deadHi float64
+}
+
+// query starts a liveness query at t.
+func (sc *blockScratch) query(t float64) liveQuery {
+	q := liveQuery{t: t, before: math.Inf(1)}
+	if sc.ldRate > 0 {
+		c := sc.ldClock(t)
+		q.stopLo, q.stopHi = c*(1-ldBand), c*(1+ldBand)
+		q.deadHi = c * sc.ldDeadF * (1 + ldBand)
+	}
+	return q
+}
+
+// stopBefore bounds the query's scans to defects that start before
+// start, the start of a live defect found at q.t (so at most q.t: this
+// only ever tightens the stop).
+func (q *liveQuery) stopBefore(sc *blockScratch, start float64) {
+	q.before = start
+	if sc.ldRate > 0 {
+		c := sc.ldClock(start)
+		q.stopLo, q.stopHi = c*(1-ldBand), c*(1+ldBand)
+	}
+}
+
+// scanLive scans a slot's defects from index from for the first one live
+// at q.t and returns its index (-1 if none) with the dead-prefix cursor:
+// from advanced over the leading defects found dead. Defect starts are
+// ascending within a slot, so the scan stops at the first start past q.t
+// (nothing later covers t) or at or past q.before (nothing later beats the
+// live defect already found), and the first live defect found is the
+// slot's min-start live one — the same winner, under the same tie rules,
+// as a full scan of the slot's defects.
+//
+// A pending defect is judged without its start wherever the clock can
+// tell: it certainly starts past the stop bound, or certainly before it
+// and is dead — its drive failed by t (cap), or it started scrubDead or
+// more before t, so that the float start + scrubDead cannot exceed t (see
+// defectLive). Only a defect inside a guard band, or in the live window
+// (t - scrubDead, t], is materialized, and then the exact path decides, so
+// every verdict and every start read is the one a fully materialized scan
+// gives.
+func (sc *blockScratch) scanLive(ds []blockDefect, from int, q *liveQuery) (live, scan int) {
+	scan = from
+	for di := from; di < len(ds); di++ {
+		d := &ds[di]
+		if d.pending != materialized {
+			// The clock value: stored for a chain link, the generation
+			// start's clock times the uniform for a chain head.
+			k := d.end
+			if d.pending == pendingHead {
+				k = sc.ldClock(d.end) * d.start
+			}
+			if k < q.stopLo {
+				return -1, scan
+			}
+			if k > q.stopHi && (q.t >= d.cap || k > q.deadHi) {
+				if di == scan {
+					scan++
+				}
+				continue
+			}
+			sc.materialize(ds, di)
+		}
+		if d.start > q.t || d.start >= q.before {
+			return -1, scan
+		}
+		if sc.defectLive(d, q.t) {
+			return di, scan
+		}
+		if di == scan {
+			scan++
+		}
+	}
+	return -1, scan
 }
 
 // defectLive reports whether the defect covers time t (its start,

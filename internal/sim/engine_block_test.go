@@ -129,7 +129,7 @@ func TestDrawTTOpCensorCutBoundary(t *testing.T) {
 		var sc blockScratch
 		sc.prep(&cfg)
 		draw := func(slot int, x uint64, upFrom float64, gen1 bool) (float64, float64) {
-			sc.col.u[0] = x << 11
+			sc.col.u[0] = float64(x) / (1 << 53)
 			sc.col.pos, sc.col.strataK = 0, 0
 			return sc.drawTTOp(&cfg, slot, upFrom, gen1)
 		}
@@ -307,5 +307,46 @@ func TestStratifiedMeanUnbiased(t *testing.T) {
 	se := math.Sqrt(2 * p * (1 - p) / iters)
 	if diff := math.Abs(p - q); diff > 6*se {
 		t.Fatalf("stratified rate %v vs plain %v differs by %v (> 6 s.e. %v)", q, p, diff, 6*se)
+	}
+}
+
+// TestDrawColDropsZeroUniforms pins the column's zero handling, which a
+// seeded stream reaches with probability 2^-53 per draw: a chunk holding
+// zero uniforms must yield its nonzero entries in order and then the
+// generator's next nonzero uniforms, exactly what rng.Float64Open returns
+// from the same state — for an iteration's short first chunk and for a
+// full one.
+func TestDrawColDropsZeroUniforms(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		for _, zeros := range [][]int{{0}, {5, 6}, {15}, {0, 1, 2, 14, 15}} {
+			var r rng.RNG
+			r.SeedStream(9, uint64(len(zeros)))
+			var c drawCol
+			c.reset(&r, 0, 0)
+			c.refill()
+			if full {
+				c.pos = colChunk
+				c.refill()
+			}
+			for _, i := range zeros {
+				c.u[c.pos+i] = 0
+			}
+			var want []float64
+			for _, u := range c.u[c.pos:] {
+				if u > 0 {
+					want = append(want, u)
+				}
+			}
+			ref := r
+			for len(want) < 2*colChunk {
+				want = append(want, ref.Float64Open())
+			}
+			c.dropZeros()
+			for i, w := range want {
+				if got := c.nextUniform(); got != w {
+					t.Fatalf("full chunk %v, zeros at %v: draw %d is %v, want %v", full, zeros, i, got, w)
+				}
+			}
+		}
 	}
 }
