@@ -226,7 +226,10 @@ func BenchmarkEngineBlockInto(b *testing.B) {
 }
 
 // BenchmarkEngineBlockBiasedInto measures the block engine under the θ = 8
-// importance-sampling tilt, against BenchmarkEngineTimelineBiasedInto.
+// importance-sampling tilt, against BenchmarkEngineTimelineBiasedInto. At
+// 5.7 expected first-generation failures per group it is the only pinned
+// row on the eager side of the block engine's defect-layout choice
+// (ldLazyMaxFailures = 1.75), so it is the one that measures that choice.
 func BenchmarkEngineBlockBiasedInto(b *testing.B) {
 	cfg := baseSimConfig()
 	cfg.Bias.Op = 8

@@ -51,6 +51,33 @@ func TestCondVRKillResumeEqualsUninterrupted(t *testing.T) {
 	testKillResume(t, spec)
 }
 
+// TestVRZeroWidthIntervalKeepsRunning: a 512-iteration batch is two
+// 256-iteration blocks, and a control line fitted through two block means
+// leaves no residual, so the block-mean interval after the first batch has
+// zero width. That is a degenerate variance estimate, not a met target: the
+// cond-variate campaign must not stop on it.
+func TestVRZeroWidthIntervalKeepsRunning(t *testing.T) {
+	cfg := scrubBaseConfig()
+	cfg.VR = sim.VR{CondVariate: true}
+	res, err := Run(context.Background(), Spec{
+		Config:        cfg,
+		Seed:          2,
+		BatchSize:     512,
+		TargetRelErr:  0.02,
+		MaxIterations: 2048,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reason == StopTarget && res.Iterations <= 512 {
+		t.Fatalf("stopped on target after %d iterations with CI [%v, %v], relative half-width %v",
+			res.Iterations, res.CI.Lo, res.CI.Hi, res.RelErr)
+	}
+	if res.Reason == StopTarget && !(res.CI.Hi > res.CI.Lo) {
+		t.Fatalf("stopped on a zero-width interval [%v, %v]", res.CI.Lo, res.CI.Hi)
+	}
+}
+
 func testKillResume(t *testing.T, spec Spec) {
 	t.Helper()
 	want, err := Run(context.Background(), spec)

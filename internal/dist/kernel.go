@@ -127,8 +127,8 @@ func (k *Kernel) Draw(r *rng.RNG) float64 {
 }
 
 // Compiled reports whether the kernel has a specialized (non-generic) draw
-// routine — i.e. whether FromExp and the hazard-domain helpers below are
-// available. Weibull and Exponential distributions always compile.
+// routine — i.e. whether FromExp is available. Weibull and Exponential
+// distributions always compile.
 func (k *Kernel) Compiled() bool { return k.kind != kindGeneric }
 
 // FromExp maps a unit-exponential variate e to the kernel's variate,
@@ -151,136 +151,37 @@ func (k *Kernel) FromExp(e float64) float64 {
 // exported form of cumHazard, bit-identical to CumHazardOf(Distribution(), t).
 // Because Draw is exactly the inverse map e ↦ H⁻¹(e), H(x) is the
 // exponential-domain image of a threshold x: Draw(e) > x ⟺ e > H(x) in
-// exact arithmetic, which is what the block engine's lazy transforms
-// compare against.
+// exact arithmetic, which is what the block engine's censor cut is built
+// from.
 func (k *Kernel) CumHazard(t float64) float64 { return k.cumHazard(t) }
 
-// Guard bands for the certain hazard-domain comparisons: wide enough to
-// absorb every rounding step on both sides of the predicate (the surrogate
-// hazard's few ulps, the draw transform's few ulps, and the caller's
-// boundary arithmetic), narrow enough that the exact fallback fires with
-// probability ~1e-6. See CompareExp for the margin analysis.
+// Margins of the censor cut: wide enough to absorb every rounding step
+// between the cut and the draw it rules on (the cumulative hazard's few
+// ulps, the draw transform's few ulps, and the caller's boundary
+// arithmetic).
 const (
 	hazardRelBand = 1e-6
 	hazardAbsBand = 1e-6
-	// hazardHuge caps the banded comparison: beyond it the relative margin
-	// arguments thin out, so only a factor-two separation is ruled certain.
+	// hazardHuge caps the cut: beyond it the relative margin arguments
+	// thin out, and no uniform is ruled censored.
 	hazardHuge = 1e8
 )
 
-// CompareHazard reports how a unit-exponential variate e compares to a
-// cumulative-hazard threshold h when the verdict is certain despite
-// floating-point rounding on either side: +1 (e surely above), -1 (surely
-// below), or 0 inside the guard band, where the caller must fall back to
-// the exact transform-and-compare. Both e and h may carry a few ulps of
-// rounding from their own computation.
-func CompareHazard(e, h float64) int {
-	if h > hazardHuge {
-		switch {
-		case e > 2*h:
-			return 1
-		case e < h/2:
-			return -1
-		default:
-			return 0
-		}
-	}
-	switch {
-	case e > h*(1+hazardRelBand)+hazardAbsBand:
-		return 1
-	case e < h*(1-hazardRelBand)-hazardAbsBand:
-		return -1
-	default:
-		return 0
-	}
-}
-
-// CensorCut returns the uniform-domain image of CompareHazard's certain
-// "above" verdict under a θ hazard tilt: every u in (0, cut) gives
-// CompareHazard(-log(u)/θ, h) > 0, so a caller holding the raw uniform can
-// rule a draw censored without taking its log. The cut sits a relative
-// 1e-9 plus an absolute 1e-12 (in the exponential domain) inside the band
-// edge θ·(h·(1+rel)+abs): the relative term absorbs the few-ulp rounding
-// of that edge and of e/θ, the absolute term the ≤1-ulp errors of exp and
-// log, which are absolute in the exponential domain and would otherwise
-// dominate a tiny θ·abs. Returns 0 — no uniform qualifies — above
-// hazardHuge, where CompareHazard only rules a factor-two separation.
+// CensorCut returns a uniform-domain censoring cut for a θ-tilted draw
+// against a cumulative-hazard horizon h: every u in (0, cut) has
+// -log(u)/θ > h·(1+1e-6)+1e-6, so the draw it transforms to certainly
+// lands past the horizon, and a caller holding the raw uniform can rule it
+// censored without taking its log. The cut sits a relative 1e-9 plus an
+// absolute 1e-12 (in the exponential domain) inside that edge: the
+// relative term absorbs the few-ulp rounding of the edge and of e/θ, the
+// absolute term the ≤1-ulp errors of exp and log, which are absolute in
+// the exponential domain and would otherwise dominate a tiny θ·1e-6.
+// Returns 0 — no uniform qualifies — above hazardHuge.
 func CensorCut(h, theta float64) float64 {
 	if h > hazardHuge {
 		return 0
 	}
 	return math.Exp(-(theta*(h*(1+hazardRelBand)+hazardAbsBand)*(1+1e-9) + 1e-12))
-}
-
-// CompareExp reports how the variate FromExp(e) compares to x when that is
-// certain despite rounding: +1 (FromExp(e) > x surely), -1 (< x surely), or
-// 0 when e lands inside the guard band around the exact boundary — or when
-// the kernel has no cheap hazard surrogate (generic, or the general-β Pow
-// kind whose surrogate would cost the same math.Pow it is meant to avoid).
-// On 0 the caller computes FromExp(e) and compares directly.
-//
-// Margin sketch for the certain verdicts: the surrogate hazard h of x is
-// exact-math-monotone-equivalent to the draw comparison and computed with
-// ≤4 roundings, the draw transform chain carries ≤3 (no cancellation:
-// loc, scale, e all non-negative), and the caller's boundary x may carry a
-// few more — all O(ε) relative, dwarfed by the 1e-6 relative band. The
-// absolute band covers the regime h → 0 where the relative band vanishes;
-// the loc/scale term keeps the derived draw-domain margin above ε·loc even
-// for extreme location/scale ratios.
-func (k *Kernel) CompareExp(e, x float64) int {
-	var h, abs float64
-	switch k.kind {
-	case kindExponential:
-		if x <= 0 {
-			if x < 0 {
-				return 1 // draws are strictly positive
-			}
-			return 0
-		}
-		h = x * k.scale // scale holds the rate: e/rate > x ⟺ e > x·rate
-		abs = hazardAbsBand
-	case kindWeibullExp, kindWeibullSqrt, kindWeibullCbrt:
-		z := (x - k.loc) / k.scale
-		if z <= 0 {
-			// x at or below the location. The draw loc + scale·g(e) with
-			// g(e) > 0 certainly exceeds x when x is clearly below loc; at
-			// the boundary the outer addition can round down to loc itself,
-			// so stay uncertain there.
-			if k.loc-x > hazardRelBand*k.scale+1e-12*k.loc {
-				return 1
-			}
-			return 0
-		}
-		switch k.kind {
-		case kindWeibullExp:
-			h = z
-		case kindWeibullSqrt:
-			h = z * z
-		default:
-			h = z * z * z
-		}
-		abs = hazardAbsBand * (1 + k.loc/k.scale)
-	default:
-		return 0
-	}
-	if h > hazardHuge {
-		switch {
-		case e > 2*h:
-			return 1
-		case e < h/2:
-			return -1
-		default:
-			return 0
-		}
-	}
-	switch {
-	case e > h*(1+hazardRelBand)+abs:
-		return 1
-	case e < h*(1-hazardRelBand)-abs:
-		return -1
-	default:
-		return 0
-	}
 }
 
 // cumHazard returns the base distribution's cumulative hazard H(t),
@@ -383,9 +284,9 @@ func (k *TiltedKernel) DrawLRFromExp(e, m float64) (x, logLR float64) {
 
 // CensoredLogLR returns the log likelihood ratio of a draw censored at m —
 // (θ-1)·H(m), exactly the value DrawLRFromExp returns for a draw landing
-// past m. Callers that can prove censoring from the hazard domain alone
-// (CompareHazard against CumHazard(m)) use it to skip the quantile
-// transform entirely.
+// past m. Callers that can prove censoring from the uniform alone
+// (CensorCut of CumHazard(m)) use it to skip the quantile transform
+// entirely.
 func (k *TiltedKernel) CensoredLogLR(m float64) float64 {
 	return k.thetaM1 * k.cumHazard(m)
 }

@@ -59,95 +59,11 @@ func TestCumHazardExported(t *testing.T) {
 	}
 }
 
-// TestCompareExpNeverWrong is the safety property of the banded comparison:
-// whenever CompareExp returns a certain verdict it must agree with the
-// exact transform-and-compare, across random (e, x) pairs including pairs
-// constructed to sit exactly on the boundary.
-func TestCompareExpNeverWrong(t *testing.T) {
-	r := rng.New(42)
-	for ki, k := range expTestKernels(t) {
-		uncertain := 0
-		const trials = 20000
-		for i := 0; i < trials; i++ {
-			e := r.ExpFloat64()
-			var x float64
-			switch i % 4 {
-			case 0:
-				x = k.FromExp(r.ExpFloat64()) // another draw: far from e's boundary usually
-			case 1:
-				x = k.FromExp(e) // exactly on the boundary
-			case 2:
-				x = k.FromExp(e) * (1 + (r.Float64()-0.5)*1e-12) // a few ulps off
-			default:
-				x = r.Float64() * 1e6 // arbitrary magnitude
-			}
-			verdict := k.CompareExp(e, x)
-			if verdict == 0 {
-				uncertain++
-				continue
-			}
-			exact := k.FromExp(e) > x
-			if (verdict > 0) != exact {
-				t.Fatalf("kernel %d: CompareExp(%v, %v) = %d, exact compare says %v", ki, e, x, verdict, exact)
-			}
-		}
-		// Far-from-boundary pairs (3 of every 4 trials) must be mostly
-		// certain, or the fast path is pointless — except for the general-β
-		// Pow kind, which by design has no surrogate and is always uncertain.
-		if k.kind != kindWeibullPow && uncertain > trials/2 {
-			t.Fatalf("kernel %d: %d/%d comparisons uncertain — band too wide", ki, uncertain, trials)
-		}
-	}
-}
-
-// TestCompareExpBelowLocation covers the x <= loc branch: a threshold well
-// below the location is certainly exceeded, a threshold at the location is
-// uncertain.
-func TestCompareExpBelowLocation(t *testing.T) {
-	w, err := NewWeibull(3, 168, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Compile(w)
-	if got := k.CompareExp(1.0, 5.0); got != 1 {
-		t.Fatalf("x well below loc: verdict %d, want 1", got)
-	}
-	if got := k.CompareExp(1.0, 6.0); got != 0 {
-		t.Fatalf("x at loc: verdict %d, want 0 (uncertain)", got)
-	}
-	if got := k.CompareExp(1e-300, 6.0+1e-9); got != 0 {
-		t.Fatalf("x just above loc with tiny e: verdict %d, want 0 (uncertain)", got)
-	}
-}
-
-// TestCompareHazard covers the package-level band compare used with
-// caller-precomputed thresholds (the general-β TTOp mission hazard).
-func TestCompareHazard(t *testing.T) {
-	for _, tc := range []struct {
-		e, h float64
-		want int
-	}{
-		{2.0, 1.0, 1},
-		{0.5, 1.0, -1},
-		{1.0, 1.0, 0},
-		{1.0 + 1e-9, 1.0, 0},
-		{1.0000021, 1.0, 1},
-		{0.9999979, 1.0, -1},
-		{3e8, 1.2e8, 1},
-		{5e7, 1.2e8, -1},
-		{1.3e8, 1.2e8, 0},
-	} {
-		if got := CompareHazard(tc.e, tc.h); got != tc.want {
-			t.Fatalf("CompareHazard(%v, %v) = %d, want %d", tc.e, tc.h, got, tc.want)
-		}
-	}
-}
-
-// TestCensorCut checks the uniform-domain cut against the banded test it
-// stands in for: the largest float below the cut, and the cut's neighbours
-// down the 2^-53 uniform grid, must all compare certainly above h·θ — over
-// hazards from the absolute band's scale to hazardHuge and tilts from tiny
-// (where the absolute margin carries the proof) to large.
+// TestCensorCut checks the uniform-domain cut against the margin it
+// promises: the largest float below the cut, and the cut's neighbours down
+// the 2^-53 uniform grid, must all have -log(u)/θ > h·(1+1e-6)+1e-6 — over
+// hazards from the absolute margin's scale to hazardHuge and tilts from
+// tiny (where the absolute margin carries the proof) to large.
 func TestCensorCut(t *testing.T) {
 	for _, h := range []float64{0, 1e-9, 1e-6, 0.0175, 0.14, 1, 37, 1e4, 1e8} {
 		for _, theta := range []float64{1e-300, 1e-6, 0.01, 0.5, 1, 2, 8, 1e3} {
@@ -167,8 +83,8 @@ func TestCensorCut(t *testing.T) {
 				}
 			}
 			for _, u := range us {
-				if got := CompareHazard(-math.Log(u)/theta, h); got != 1 {
-					t.Fatalf("h=%v θ=%v: u=%v below cut %v compares %d, want certainly above", h, theta, u, cut, got)
+				if e := -math.Log(u) / theta; !(e > h*(1+1e-6)+1e-6) {
+					t.Fatalf("h=%v θ=%v: u=%v below cut %v has -log(u)/θ = %v, not past the margin", h, theta, u, cut, e)
 				}
 			}
 		}
@@ -176,6 +92,83 @@ func TestCensorCut(t *testing.T) {
 	if cut := CensorCut(2e8, 1); cut != 0 {
 		t.Errorf("CensorCut above hazardHuge = %v, want 0", cut)
 	}
+}
+
+// FuzzCensorCut checks the cut's contract on the exact transform it stands
+// in for: for a Weibull or Exponential kernel, a horizon m and a tilt θ, a
+// uniform a few steps below CensorCut(CumHazard(m), θ) — down the 2^-53
+// grid of column uniforms, or down the floats, where a stratified draw can
+// land — must make DrawLRFromExp(-log u, m) land past m with exactly the
+// censored log ratio CensoredLogLR(m). Location stays within one scale of
+// zero, which covers every distribution of the paper's model.
+func FuzzCensorCut(f *testing.F) {
+	f.Add(uint8(0), 0.3, 0.5, 0.0, 0.4, 0.5, uint8(0))
+	f.Add(uint8(1), 0.0, 0.9, 0.5, 0.7, 0.9, uint8(3))
+	f.Add(uint8(2), 0.0, 0.2, 0.1, 0.1, 0.1, uint8(0x81))
+	f.Add(uint8(3), 0.0, 0.7, 0.9, 0.5, 0.5, uint8(0x87))
+	f.Add(uint8(4), 0.05, 0.8, 0.0, 0.6, 0.8, uint8(2))
+	f.Fuzz(func(t *testing.T, kind uint8, a, b, c, mq, tq float64, steps uint8) {
+		// unit maps any fuzzed float into [0, 1).
+		unit := func(x float64) float64 {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return 0
+			}
+			_, frac := math.Modf(math.Abs(x))
+			return frac
+		}
+		scale := math.Pow(10, 7*unit(b)) // 1 .. 1e7
+		loc := scale * unit(c)
+		var d Distribution
+		var err error
+		switch kind % 5 {
+		case 0:
+			d, err = NewExponential(1 / scale)
+			loc = 0
+		case 1, 2, 3:
+			d, err = NewWeibull(float64(kind%5), scale, loc)
+		default:
+			d, err = NewWeibull(0.5+4.5*unit(a), scale, loc)
+		}
+		if err != nil {
+			t.Skip(err)
+		}
+		m := (loc + scale) * math.Pow(10, 6*unit(mq)-3)
+		theta := math.Pow(10, 6*unit(tq)-3) // 1e-3 .. 1e3
+		tk := CompileTilted(d, theta)
+		cut := CensorCut(tk.CumHazard(m), theta)
+		if cut == 0 {
+			return // nothing is ruled censored
+		}
+		var u float64
+		k := int(steps & 7)
+		if steps&0x80 != 0 {
+			u = math.Nextafter(cut, 0)
+			for ; k > 0; k-- {
+				u = math.Nextafter(u, 0)
+			}
+		} else {
+			x := uint64(cut * (1 << 53))
+			if x > 0 && float64(x)/(1<<53) >= cut {
+				x--
+			}
+			if x <= uint64(k) {
+				return // no grid uniform that far below the cut
+			}
+			u = float64(x-uint64(k)) / (1 << 53)
+		}
+		if u < 0x1p-1022 {
+			// No column or stratified uniform is subnormal (the column's
+			// least is 2^-53), and amd64's math.Log misreads subnormals.
+			return
+		}
+		x, lr := tk.DrawLRFromExp(-math.Log(u), m)
+		if !(x > m) {
+			t.Fatalf("%v θ=%v m=%v: u=%v below cut %v draws %v, not past m", d, theta, m, u, cut, x)
+		}
+		if want := tk.CensoredLogLR(m); math.Float64bits(lr) != math.Float64bits(want) {
+			t.Fatalf("%v θ=%v m=%v: u=%v log ratio %v, censored %v", d, theta, m, u, lr, want)
+		}
+	})
 }
 
 // TestDrawLRFromExpMatchesDrawLR pins the tilted exp-variate entry point

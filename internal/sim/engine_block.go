@@ -23,33 +23,25 @@ import (
 // (testdata/stream_digests.txt): the same stream yields the same DDFs and
 // the same log weight.
 //
-// Six lazy-transform shortcuts keep the per-iteration math sublinear in
-// the draw count without changing a single output bit:
+// Five lazy shortcuts keep the per-iteration math sublinear in the draw
+// count without changing a single output bit (DESIGN.md §12 keeps their
+// ledger: what each skips and what it was measured to earn):
 //
 //   - An operational draw whose raw uniform lies below the slot's censor
 //     cut (dist.CensorCut of the mission hazard, precomputed per slot) is
-//     ruled censored in the uniform domain, before any log is taken: the
-//     cut maps strictly inside the banded hazard test below, so the draw
-//     takes exactly the censored result that test would give it. Most
-//     operational draws of a rare-event configuration land here.
-//   - Otherwise, an operational draw (any generation) whose exponential
-//     variate lies certainly above the slot's mission hazard H_s(M)
-//     (dist.CompareHazard, guard-banded) is substituted with +Inf instead
-//     of being transformed — H monotone means it is certainly past the
-//     remaining mission too.
-//     Any value strictly above the mission is output-equivalent there: the
-//     slot loop breaks without appending an episode, the defect window is
-//     clipped to the mission either way, and a defect end truncated by the
-//     drive failure differs only beyond the mission, where no query ever
-//     looks. Under bias the censored log ratio (θ-1)·H(M) is precomputed
-//     per slot for first generations and computed directly
-//     (TiltedKernel.CensoredLogLR, one cumulative hazard instead of
-//     quantile + cumulative hazard) for later ones, so the skipped draw's
-//     weight factor is still bit-exact.
+//     censored before any log is taken: the cut guarantees the exact
+//     transform lands past the mission, so +Inf stands in for it, and under
+//     bias the censored log ratio TiltedKernel.CensoredLogLR of the
+//     residual mission, the value the exact transform reaches. +Inf is
+//     output-equivalent: the slot loop breaks without appending an
+//     episode, the defect window is clipped to the mission either way, and
+//     a defect cap set by the drive failure differs only beyond the
+//     mission, where no query looks. Every other draw takes the exact
+//     transform. Most operational draws land below the cut.
 //   - Scrub completions stay raw uniforms: a defect stores its scrub draw
 //     untransformed and resolves the exact end start + FromExp(-log(u)),
-//     memoized, only on its first liveness query. Defects never queried —
-//     the overwhelming majority — never pay the log.
+//     memoized, only on its first liveness query that the next shortcut
+//     cannot answer. Defects never queried never pay the log.
 //   - A liveness query at t on a defect that started scrubDead =
 //     FromExp(37) or more before t answers dead without the log: no
 //     column uniform has an exponential variate above -log(2^-53) =
@@ -247,14 +239,12 @@ type blockDefect struct {
 	// uniform.
 	start float64
 	cap   float64
-	// ue holds the scrub draw: the raw uniform until the first liveness
-	// query logs it (logged), the unit exponential after.
+	// ue holds the scrub draw's raw uniform.
 	ue float64
 	// end is the memoized natural end once resolved. While the defect is
 	// pending it holds its chain's generation start (pendingHead) or its
 	// clock value (pendingLink; see ldClock) instead.
 	end      float64
-	logged   bool
 	resolved bool
 	pending  pendingState
 }
@@ -288,23 +278,19 @@ type blockChronology struct {
 // blockScratch is the reusable per-worker state of the block engine: the
 // compiled kernels, the draw column, per-slot chronologies, the merged
 // failure sequence, and the per-slot acceleration constants (mission
-// hazards, censor cuts, censored gen-1 log ratios, the control-variate
-// expectation).
+// hazards, censor cuts, the control-variate expectation).
 type blockScratch struct {
 	kern   cfgKernels
 	chrons []blockChronology
 	fails  []intervalFailure
 	col    drawCol
 	// hm[s] = H_s(Mission), the base cumulative mission hazard of slot s's
-	// operational-failure distribution — the gen-1 lazy-skip threshold and
-	// the control variate's analytic input.
+	// operational-failure distribution — the censor cut's and the control
+	// variate's analytic input.
 	hm []float64
 	// ucut[s] = dist.CensorCut(hm[s], θ) (θ = 1 unbiased): an operational
 	// draw whose uniform lies below it is censored without its log.
 	ucut []float64
-	// lr1[s] is the censored gen-1 log likelihood ratio (θ-1)·H_s(M),
-	// substituted for a provably censored first draw under bias.
-	lr1 []float64
 	// ez is the analytic expectation of the control variate: with the
 	// indicator control, 1 - exp(-Σ_s H_s(M)); with the conditional-DDF
 	// variate, the analytic.CondDDF quadrature (in [0, drives]).
@@ -365,22 +351,18 @@ func (sc *blockScratch) prep(cfg *Config) {
 	if cap(sc.hm) < cfg.Drives {
 		sc.hm = make([]float64, cfg.Drives)
 		sc.ucut = make([]float64, cfg.Drives)
-		sc.lr1 = make([]float64, cfg.Drives)
 	}
 	sc.hm = sc.hm[:cfg.Drives]
 	sc.ucut = sc.ucut[:cfg.Drives]
-	sc.lr1 = sc.lr1[:cfg.Drives]
 	sumH := 0.0
 	for s := 0; s < cfg.Drives; s++ {
 		if sc.kern.biasOp {
 			tk := &sc.kern.ttopTilt[s]
 			sc.hm[s] = tk.CumHazard(cfg.Mission)
 			sc.ucut[s] = dist.CensorCut(sc.hm[s], tk.Theta())
-			sc.lr1[s] = tk.CensoredLogLR(cfg.Mission)
 		} else {
 			sc.hm[s] = sc.kern.ttop[s].CumHazard(cfg.Mission)
 			sc.ucut[s] = dist.CensorCut(sc.hm[s], 1)
-			sc.lr1[s] = 0
 		}
 		sumH += sc.hm[s]
 	}
@@ -653,11 +635,10 @@ func opFailedAt(ops []opInterval, t float64) bool {
 }
 
 // buildSlot lays out one slot's alternating up/down episodes and its
-// defect intervals from the column, with the gen-1 lazy skip applied:
-// drive generation g runs from its installation (the previous drive's
-// failure time) to its own failure; defects arrive by renewal within that
-// window and end at scrub completion or the drive's own failure, whichever
-// is first. Returns the slot's log weight and whether its first-generation
+// defect intervals from the column: drive generation g runs from its
+// installation (the previous drive's failure time) to its own failure;
+// defects arrive by renewal within that window and end at scrub completion
+// or the drive's own failure, whichever is first. Returns the slot's log weight and whether its first-generation
 // drive failed within the mission.
 //
 // Under bias this engine censors defect chains at the generation window
@@ -668,12 +649,11 @@ func opFailedAt(ops []opInterval, t float64) bool {
 func (sc *blockScratch) buildSlot(cfg *Config, slot int, ch *blockChronology) (logW float64, z bool) {
 	genStart := 0.0 // installation time of the current drive
 	upFrom := 0.0   // operational-clock start of the current drive
-	gen1 := true
 	for {
 		// Under bias the draw is censored at the residual mission: a drive
 		// whose failure lands past the mission contributes no further
 		// in-mission episodes, matching the event engine's discard boundary.
-		dt, logLR := sc.drawTTOp(cfg, slot, upFrom, gen1)
+		dt, logLR := sc.drawTTOp(cfg, slot, upFrom)
 		logW += logLR
 		fail := upFrom + dt
 		end := fail
@@ -686,56 +666,41 @@ func (sc *blockScratch) buildSlot(cfg *Config, slot int, ch *blockChronology) (l
 		if fail > cfg.Mission {
 			break
 		}
-		if gen1 {
-			z = true
-		}
 		restore := fail + sc.kern.ttr.FromExp(sc.col.nextExp())
 		ch.ops = append(ch.ops, opInterval{Fail: fail, RestoreEnd: restore})
 		genStart = fail
 		upFrom = restore
-		gen1 = false
 		if restore > cfg.Mission {
 			// Defects on the replacement during a rebuild that outlives the
 			// mission cannot affect any in-mission failure check.
 			break
 		}
 	}
-	return logW, z
+	// Only failures within the mission append an episode, so the first
+	// generation failed within it exactly when one was appended.
+	return logW, len(ch.ops) > 0
 }
 
 // drawTTOp is the column-fed counterpart of cfgKernels.drawTTOp with the
-// censoring skips: when the exponential variate is certainly past the
-// slot's full mission hazard it is certainly past the remaining mission
-// too (H is monotone, upFrom >= 0), so +Inf stands in for the transformed
-// draw (output-equivalent — see the engine comment). The uniform-domain
-// cut decides most such draws before the log is taken; the banded hazard
-// test decides the rest, and the cut lies strictly inside it, so both
-// reach the same verdict. Under bias the censored log ratio stands in for
-// the weight factor: the precomputed (θ-1)·H(M) for a first-generation
-// drive, the same CensoredLogLR the full transform would reach for later
-// generations — one cumulative hazard instead of a quantile plus a
-// cumulative hazard.
-func (sc *blockScratch) drawTTOp(cfg *Config, slot int, upFrom float64, gen1 bool) (dt, logLR float64) {
+// censor cut: a uniform below the slot's cut has its exact transform past
+// the full mission hazard, hence past the remaining mission too (H is
+// monotone, upFrom >= 0), so +Inf stands in for the transformed draw
+// (output-equivalent — see the engine comment) and, under bias,
+// CensoredLogLR of the residual mission for its weight factor: the value
+// DrawLRFromExp reaches for that draw, without its log and quantile.
+func (sc *blockScratch) drawTTOp(cfg *Config, slot int, upFrom float64) (dt, logLR float64) {
 	u := sc.col.nextOpen()
-	censored := u < sc.ucut[slot]
-	var e float64
-	if !censored {
-		e = -math.Log(u)
-	}
 	if sc.kern.biasOp {
 		tk := &sc.kern.ttopTilt[slot]
-		if censored || dist.CompareHazard(e/tk.Theta(), sc.hm[slot]) > 0 {
-			if gen1 {
-				return math.Inf(1), sc.lr1[slot]
-			}
+		if u < sc.ucut[slot] {
 			return math.Inf(1), tk.CensoredLogLR(cfg.Mission - upFrom)
 		}
-		return tk.DrawLRFromExp(e, cfg.Mission-upFrom)
+		return tk.DrawLRFromExp(-math.Log(u), cfg.Mission-upFrom)
 	}
-	if censored || dist.CompareHazard(e, sc.hm[slot]) > 0 {
+	if u < sc.ucut[slot] {
 		return math.Inf(1), 0
 	}
-	return sc.kern.ttop[slot].FromExp(e), 0
+	return sc.kern.ttop[slot].FromExp(-math.Log(u)), 0
 }
 
 // appendDefects renewal-samples defect arrivals on [genStart, windowEnd)
@@ -792,7 +757,11 @@ const (
 	// base case under a TTOp tilt θ (16 interleaved pairs, 2 vCPUs),
 	// lazy/eager time: θ = 1.25 (1.41 expected failures) 0.93, θ = 1.5
 	// (1.66) 0.97, θ = 1.75 (1.90) 1.05, θ = 2 (2.13) 1.05, θ = 4 (3.70)
-	// 1.10; unbiased (1.15) 0.86.
+	// 1.10; unbiased (1.15) 0.86. Those runs predate the start-free
+	// queries (scanLive). Re-measured with them at θ = 8 (5.7 expected
+	// failures, BenchmarkEngineBlockBiasedInto), forced lazy/eager read
+	// 1.095 (16 pairs, 14 slower), then 0.990 (10 pairs, 3 slower) and
+	// 1.012 (16 pairs, 9 slower): between no gain and +10%.
 	ldLazyMaxFailures = 1.75
 )
 
@@ -1067,12 +1036,9 @@ func (sc *blockScratch) scanLive(ds []blockDefect, from int, q *liveQuery) (live
 // scrubDead or more before t is dead without a log: its draw e =
 // -log(u) is at most -log(2^-53) < scrubDeadExp, so its natural end
 // start + FromExp(e) is at most start + scrubDead (FromExp and the float
-// addition are monotone). Otherwise the first query pays the
-// exponential transform -log(u) (rng.ExpFloat64's exact value, memoized
-// in ue); each query then tests liveness with the banded dist.CompareExp
-// against the elapsed time, falling back to the exact end start +
-// FromExp(e) only inside the guard band, and memoizing it. Defects never
-// queried pay neither transform.
+// addition are monotone). Otherwise the first query resolves the exact
+// end start + FromExp(-log(u)) and memoizes it; defects never queried pay
+// no transform.
 //
 // Liveness is monotone: once false for some t it is false for every
 // later t, because end and the natural scrub completion are fixed and
@@ -1082,26 +1048,15 @@ func (sc *blockScratch) defectLive(d *blockDefect, t float64) bool {
 	if t >= d.cap {
 		return false
 	}
-	if d.resolved {
-		return t < d.end
+	if !d.resolved {
+		if !sc.hasScrub {
+			return true // no scrub: the natural end is +Inf
+		}
+		if t >= d.start+sc.scrubDead {
+			return false
+		}
+		d.end = d.start + sc.kern.scrub.FromExp(-math.Log(d.ue))
+		d.resolved = true
 	}
-	if !sc.hasScrub {
-		return true // no scrub: the natural end is +Inf
-	}
-	if t >= d.start+sc.scrubDead {
-		return false
-	}
-	if !d.logged {
-		d.ue = -math.Log(d.ue)
-		d.logged = true
-	}
-	switch sc.kern.scrub.CompareExp(d.ue, t-d.start) {
-	case 1:
-		return true
-	case -1:
-		return false
-	}
-	d.end = d.start + sc.kern.scrub.FromExp(d.ue)
-	d.resolved = true
 	return t < d.end
 }

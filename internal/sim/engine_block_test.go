@@ -119,40 +119,46 @@ func TestBlockEngineCensorCutVRIdentity(t *testing.T) {
 	}
 }
 
-// TestDrawTTOpCensorCutBoundary feeds drawTTOp column uniforms one grid
-// step either side of each slot's censor cut and checks the shortcut's
-// (dt, logLR) against the full log path (the cut disarmed) bit for bit,
-// for first and later generations, biased and unbiased.
+// TestDrawTTOpCensorCutBoundary feeds drawTTOp column uniforms two grid
+// steps either side of each slot's censor cut, for a first generation and
+// a later one, biased and unbiased, and checks them against the exact
+// transform of the same uniform (FromExp, or DrawLRFromExp under bias).
+// Below the cut the draw must be +Inf, the exact transform must land past
+// the residual mission, and the log ratio must be the exact one bit for
+// bit; at or above it the draw must be the exact transform itself.
 func TestDrawTTOpCensorCutBoundary(t *testing.T) {
 	for _, theta := range []float64{8, 0.5, 0} {
 		cfg := rareBiasConfig(theta)
 		var sc blockScratch
 		sc.prep(&cfg)
-		draw := func(slot int, x uint64, upFrom float64, gen1 bool) (float64, float64) {
-			sc.col.u[0] = float64(x) / (1 << 53)
-			sc.col.pos, sc.col.strataK = 0, 0
-			return sc.drawTTOp(&cfg, slot, upFrom, gen1)
-		}
 		for slot, ucut := range sc.ucut {
 			if !(ucut > 0.5 && ucut < 1) {
 				t.Fatalf("θ=%v slot %d: cut %v outside the expected (0.5, 1)", theta, slot, ucut)
 			}
 			x0 := uint64(ucut * (1 << 53)) // largest grid uniform <= ucut
 			for x := x0 - 2; x <= x0+2; x++ {
-				for _, gen := range []struct {
-					upFrom float64
-					gen1   bool
-				}{{0, true}, {1234.5, false}} {
-					dt, lr := draw(slot, x, gen.upFrom, gen.gen1)
-					sc.ucut[slot] = 0
-					wantDt, wantLr := draw(slot, x, gen.upFrom, gen.gen1)
-					sc.ucut[slot] = ucut
-					if math.Float64bits(dt) != math.Float64bits(wantDt) || math.Float64bits(lr) != math.Float64bits(wantLr) {
-						t.Fatalf("θ=%v slot %d u=%v (cut %v): shortcut (%v, %v), full path (%v, %v)",
-							theta, slot, float64(x)/(1<<53), ucut, dt, lr, wantDt, wantLr)
+				u := float64(x) / (1 << 53)
+				for _, upFrom := range []float64{0, 1234.5} {
+					sc.col.u[0] = u
+					sc.col.pos, sc.col.strataK = 0, 0
+					dt, lr := sc.drawTTOp(&cfg, slot, upFrom)
+					m := cfg.Mission - upFrom
+					var wantDt, wantLr float64
+					if sc.kern.biasOp {
+						wantDt, wantLr = sc.kern.ttopTilt[slot].DrawLRFromExp(-math.Log(u), m)
+					} else {
+						wantDt = sc.kern.ttop[slot].FromExp(-math.Log(u))
 					}
-					if u := float64(x) / (1 << 53); u < ucut && !math.IsInf(dt, 1) {
-						t.Fatalf("θ=%v slot %d: u=%v below the cut %v drew %v, not censored", theta, slot, u, ucut, dt)
+					if u < ucut {
+						if !math.IsInf(dt, 1) || !(wantDt > m) || math.Float64bits(lr) != math.Float64bits(wantLr) {
+							t.Fatalf("θ=%v slot %d u=%v below the cut %v: shortcut (%v, %v), exact (%v, %v) against residual mission %v",
+								theta, slot, u, ucut, dt, lr, wantDt, wantLr, m)
+						}
+						continue
+					}
+					if math.Float64bits(dt) != math.Float64bits(wantDt) || math.Float64bits(lr) != math.Float64bits(wantLr) {
+						t.Fatalf("θ=%v slot %d u=%v (cut %v): drew (%v, %v), exact (%v, %v)",
+							theta, slot, u, ucut, dt, lr, wantDt, wantLr)
 					}
 				}
 			}

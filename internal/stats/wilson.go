@@ -40,12 +40,16 @@ func WilsonCI(successes, trials int, level float64) (Interval, error) {
 
 // RelativeHalfWidth reports the interval's half-width relative to its
 // midpoint — the campaign orchestrator's stopping statistic. It returns
-// +Inf when the midpoint is zero (no events observed yet: the estimate
-// carries no relative precision at all).
+// +Inf when the midpoint is not positive (no events observed yet: the
+// estimate carries no relative precision at all) and when the half-width
+// is not positive and finite: a zero-width interval comes from a
+// degenerate variance estimate (say, a line fitted through two block
+// means), not from a precise one, so it must never meet a target.
 func (iv Interval) RelativeHalfWidth() float64 {
 	mid := (iv.Lo + iv.Hi) / 2
-	if mid <= 0 {
+	half := (iv.Hi - iv.Lo) / 2
+	if !(mid > 0) || !(half > 0) || math.IsInf(half, 1) {
 		return math.Inf(1)
 	}
-	return (iv.Hi - iv.Lo) / 2 / mid
+	return half / mid
 }

@@ -92,4 +92,18 @@ func TestRelativeHalfWidth(t *testing.T) {
 	if !math.IsInf(zero.RelativeHalfWidth(), 1) {
 		t.Error("degenerate zero interval should have infinite relative half-width")
 	}
+	// A zero, NaN or infinite half-width around a positive midpoint is a
+	// degenerate variance estimate, never a met target.
+	nan := math.NaN()
+	for _, iv := range []Interval{
+		{Lo: 0.122, Hi: 0.122},
+		{Lo: nan, Hi: nan},
+		{Lo: 0.1, Hi: nan},
+		{Lo: 0.1, Hi: math.Inf(1)},
+		{Lo: 0.2, Hi: 0.1},
+	} {
+		if got := iv.RelativeHalfWidth(); !math.IsInf(got, 1) {
+			t.Errorf("%+v: RelativeHalfWidth = %v, want +Inf", iv, got)
+		}
+	}
 }
