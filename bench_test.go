@@ -6,8 +6,12 @@
 package raidrel_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"raidrel/internal/campaign"
@@ -17,6 +21,7 @@ import (
 	"raidrel/internal/markov"
 	"raidrel/internal/raid"
 	"raidrel/internal/rng"
+	"raidrel/internal/service"
 	"raidrel/internal/sim"
 	"raidrel/internal/workload"
 )
@@ -615,6 +620,64 @@ func BenchmarkAdaptiveCampaignBiased(b *testing.B) {
 		iters = res.Iterations
 	}
 	b.ReportMetric(float64(iters), "iterations_to_target")
+}
+
+// BenchmarkServiceResultHit measures raidreld's cache-hit path in
+// process: one finished 8,192-iteration cond-VR base-case job behind an
+// httptest server, then per op the identical submission (a cache hit) and
+// the result GET a client makes with the job ID it returns.
+func BenchmarkServiceResultHit(b *testing.B) {
+	srv := service.New(service.Options{MaxConcurrent: 1, Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Drain(context.Background())
+	}()
+	params := core.BaseCase()
+	params.VR = sim.VR{Antithetic: true, Stratify: true, CondVariate: true}
+	spec := service.JobSpec{Params: params, Seed: benchOpt.Seed, Iterations: 8192, BatchSize: 8192}
+	j, _, err := srv.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-j.Done()
+	if st := j.State(); st != service.JobDone {
+		b.Fatalf("job ended %s", st)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// do reads a response that must be 200 (the submit is a cache hit)
+	// into one reused buffer, keeping the client's allocations out of the
+	// service's figure.
+	var buf bytes.Buffer
+	do := func(resp *http.Response, err error) []byte {
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf.Reset()
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %s %v", resp.StatusCode, buf.Bytes(), err)
+		}
+		return buf.Bytes()
+	}
+	var resultBytes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var hit struct {
+			ID string `json:"id"`
+		}
+		data := do(http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body)))
+		if err := json.Unmarshal(data, &hit); err != nil {
+			b.Fatal(err)
+		}
+		resultBytes = len(do(http.Get(ts.URL + "/v1/jobs/" + hit.ID + "/result")))
+	}
+	b.ReportMetric(float64(resultBytes), "result_bytes")
 }
 
 // BenchmarkMarkovComparator measures the uniformization transient solve of

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"raidrel/internal/campaign"
@@ -85,18 +86,10 @@ func (s *Server) jobDoc(j *Job) jobDoc {
 	return doc
 }
 
-// eventDoc is one DDF in the result body, in the checkpoint file's flat
-// key scheme: group, time, cause, and (when importance sampling) the
-// group's log likelihood-ratio weight.
-type eventDoc struct {
-	Group int     `json:"g"`
-	Time  float64 `json:"t"`
-	Cause int     `json:"c"`
-	LogW  float64 `json:"lw,omitempty"`
-}
-
-// resultDoc is the wire view of a finished campaign.
-type resultDoc struct {
+// resultHead is the wire view of a finished campaign minus its events:
+// every key of the result body but the last, "events", which
+// encodeResult appends after it.
+type resultHead struct {
 	ID            string `json:"id"`
 	Fingerprint   string `json:"fingerprint"`
 	Iterations    int    `json:"iterations"`
@@ -132,11 +125,10 @@ type resultDoc struct {
 	DDFsPer1000 float64               `json:"ddfs_per_1000_groups"`
 	Reason      string                `json:"reason"`
 	ElapsedS    float64               `json:"elapsed_s"`
-	Events      []eventDoc            `json:"events"`
 }
 
-func (s *Server) resultDoc(j *Job, res *campaign.Result) resultDoc {
-	doc := resultDoc{
+func newResultHead(j *Job, res *campaign.Result) resultHead {
+	head := resultHead{
 		ID:            j.ID,
 		Fingerprint:   j.Fingerprint,
 		Iterations:    res.Iterations,
@@ -156,41 +148,147 @@ func (s *Server) resultDoc(j *Job, res *campaign.Result) resultDoc {
 		ElapsedS:      res.Elapsed.Seconds(),
 	}
 	if j.Merged {
-		doc.Reason = "merged"
+		head.Reason = "merged"
 	}
 	if !math.IsInf(res.RelErr, 1) {
 		relErr := res.RelErr
-		doc.RelErr = &relErr
+		head.RelErr = &relErr
 	}
 	if run := res.Run; run != nil {
-		doc.TotalDDFs = run.TotalDDFs
-		doc.OpOpDDFs = run.OpOpDDFs
-		doc.LdOpDDFs = run.LdOpDDFs
-		doc.UnavailEvents = run.UnavailEvents
-		doc.GroupsWithUnavail = run.GroupsWithUnavail()
+		head.TotalDDFs = run.TotalDDFs
+		head.OpOpDDFs = run.OpOpDDFs
+		head.LdOpDDFs = run.LdOpDDFs
+		head.UnavailEvents = run.UnavailEvents
+		head.GroupsWithUnavail = run.GroupsWithUnavail()
 		if run.Fleet != nil {
 			fleet := *run.Fleet
-			doc.Fleet = &fleet
+			head.Fleet = &fleet
 		}
 		if res.Iterations > 0 {
 			total, _, _ := run.WeightedCauseTotals()
-			doc.DDFsPer1000 = total * 1000 / float64(res.Iterations)
-			doc.UnavailPer1000 = run.WeightedUnavailTotal() * 1000 / float64(res.Iterations)
-		}
-		doc.Events = make([]eventDoc, 0, len(run.Events))
-		for _, e := range run.Events {
-			doc.Events = append(doc.Events, eventDoc{Group: e.Group, Time: e.Time, Cause: int(e.Cause), LogW: e.LogW})
+			head.DDFsPer1000 = total * 1000 / float64(res.Iterations)
+			head.UnavailPer1000 = run.WeightedUnavailTotal() * 1000 / float64(res.Iterations)
 		}
 	}
-	return doc
+	return head
 }
 
+// eventBytes is a typical indented event's size in the result body, the
+// per-event share of encodeResult's initial buffer.
+const eventBytes = 80
+
+// encodeResult renders a finished job's result body: the indented
+// resultHead with an "events" key spliced in last (null when the result
+// has no run), then a newline. The bytes are exactly what encoding/json
+// writes, under a two-space indent, for the head with an events slice of
+// {"g", "t", "c", "lw" omitempty} objects appended as its last field; the
+// tests hold that encoder as the oracle. The events are appended straight
+// from the run, with no per-event copy and no reflection.
+func encodeResult(j *Job, res *campaign.Result) ([]byte, error) {
+	head, err := json.MarshalIndent(newResultHead(j, res), "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	var events []sim.GroupEvent
+	if res.Run != nil {
+		events = res.Run.Events
+	}
+	const key = ",\n  \"events\": "
+	body := make([]byte, 0, len(head)+len(key)+len(events)*eventBytes+len("null\n}\n"))
+	body = append(body, head[:len(head)-len("\n}")]...)
+	body = append(body, key...)
+	if res.Run == nil {
+		body = append(body, "null"...)
+	} else if body, err = appendEvents(body, events); err != nil {
+		return nil, err
+	}
+	return append(body, "\n}\n"...), nil
+}
+
+// appendEvents appends events as the indented JSON array under the
+// result body's top-level "events" key: one object per DDF in the
+// checkpoint file's flat key scheme (group, time, cause, and, when
+// importance sampling, the group's log likelihood-ratio weight "lw",
+// left out when 0).
+func appendEvents(dst []byte, events []sim.GroupEvent) ([]byte, error) {
+	if len(events) == 0 {
+		return append(dst, "[]"...), nil
+	}
+	dst = append(dst, '[')
+	var err error
+	for i, e := range events {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n    {\n      \"g\": "...)
+		dst = strconv.AppendInt(dst, int64(e.Group), 10)
+		dst = append(dst, ",\n      \"t\": "...)
+		if dst, err = appendJSONFloat(dst, e.Time); err != nil {
+			return nil, err
+		}
+		dst = append(dst, ",\n      \"c\": "...)
+		dst = strconv.AppendInt(dst, int64(e.Cause), 10)
+		if e.LogW != 0 {
+			dst = append(dst, ",\n      \"lw\": "...)
+			if dst, err = appendJSONFloat(dst, e.LogW); err != nil {
+				return nil, err
+			}
+		}
+		dst = append(dst, "\n    }"...)
+	}
+	return append(dst, "\n  ]"...), nil
+}
+
+// appendJSONFloat appends f the way encoding/json writes a float64: the
+// shortest round-tripping 'f' form, switching to 'e' below 1e-6 and at
+// 1e21 and above in magnitude, with a two-digit negative exponent trimmed
+// (1e-07 becomes 1e-7). NaN and the infinities have no JSON form.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("service: unsupported JSON value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// writeResult answers with a finished job's result body, or 500 when it
+// has no JSON form.
+func writeResult(w http.ResponseWriter, j *Job, res *campaign.Result) {
+	body, err := encodeResult(j, res)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encode result of job %s: %w", j.ID, err))
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// writeJSON answers code with v as indented JSON and a trailing newline,
+// or 500 when v has no JSON form: the body is encoded whole before the
+// status line goes out, so a failed encoding never yields a cut-off 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody answers code with an encoded JSON body and its length.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -276,7 +374,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, err := j.Result()
 	switch j.State() {
 	case JobDone:
-		writeJSON(w, http.StatusOK, s.resultDoc(j, res))
+		writeResult(w, j, res)
 	case JobFailed:
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("job %s failed: %v", j.ID, err))
 	default:
@@ -376,7 +474,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, _ := j.Result()
-	writeJSON(w, http.StatusOK, s.resultDoc(j, res))
+	writeResult(w, j, res)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -119,28 +119,39 @@ const maxJobIterations = 1 << 40
 
 // Validate rejects specs that could not run or could not merge.
 func (js JobSpec) Validate() error {
+	_, err := js.lower()
+	return err
+}
+
+// lower validates the spec and lowers it to its campaign spec, calling
+// core.New once; Submit derives the fingerprint and cache key from the
+// returned spec.
+func (js JobSpec) lower() (campaign.Spec, error) {
 	if js.Iterations > maxJobIterations {
-		return fmt.Errorf("service: %d iterations exceeds the %d-iteration job cap", js.Iterations, maxJobIterations)
+		return campaign.Spec{}, fmt.Errorf("service: %d iterations exceeds the %d-iteration job cap", js.Iterations, maxJobIterations)
 	}
 	if s := js.Shard; s != nil {
 		if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
-			return fmt.Errorf("service: shard %d/%d invalid", s.Index, s.Count)
+			return campaign.Spec{}, fmt.Errorf("service: shard %d/%d invalid", s.Index, s.Count)
 		}
 		if js.Iterations <= 0 {
-			return fmt.Errorf("service: sharded job needs a positive total iteration count")
+			return campaign.Spec{}, fmt.Errorf("service: sharded job needs a positive total iteration count")
 		}
 		if js.TargetRelErr != 0 || js.MaxDurationS != 0 {
-			return fmt.Errorf("service: sharded jobs must be fixed size (no target_rel_err or max_duration_s): shard boundaries depend on them")
+			return campaign.Spec{}, fmt.Errorf("service: sharded jobs must be fixed size (no target_rel_err or max_duration_s): shard boundaries depend on them")
 		}
 		if start, end := s.Range(js.Iterations); end <= start {
-			return fmt.Errorf("service: shard %d/%d of %d iterations is empty", s.Index, s.Count, js.Iterations)
+			return campaign.Spec{}, fmt.Errorf("service: shard %d/%d of %d iterations is empty", s.Index, s.Count, js.Iterations)
 		}
 	}
 	spec, err := js.campaignSpec()
 	if err != nil {
-		return err
+		return campaign.Spec{}, err
 	}
-	return spec.Validate()
+	if err := spec.Validate(); err != nil {
+		return campaign.Spec{}, err
+	}
+	return spec, nil
 }
 
 // Fingerprint is the campaign config identity — the same digest the

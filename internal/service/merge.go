@@ -151,10 +151,7 @@ func (s *Server) MergeJobs(ids []string) (*Job, error) {
 	}
 	result := campaign.Summarize(spec, merged)
 
-	key, err := base.CacheKey()
-	if err != nil {
-		return nil, err
-	}
+	key := base.cacheKey(spec.Fingerprint())
 	fp := shards[0].Fingerprint
 
 	s.mu.Lock()

@@ -134,17 +134,12 @@ func New(opts Options) *Server {
 // and queued or running jobs coalesce the new submission onto the
 // in-flight simulation (reused=true, single-flight).
 func (s *Server) Submit(spec JobSpec) (job *Job, reused bool, err error) {
-	if err := spec.Validate(); err != nil {
-		return nil, false, err
-	}
-	fp, err := spec.Fingerprint()
+	cspec, err := spec.lower()
 	if err != nil {
 		return nil, false, err
 	}
-	key, err := spec.CacheKey()
-	if err != nil {
-		return nil, false, err
-	}
+	fp := cspec.Fingerprint()
+	key := spec.cacheKey(fp)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -159,7 +159,7 @@ func TestServerVRJob(t *testing.T) {
 		t.Errorf("VR diagnostics missing: pairs=%d factor=%v", res.VRPairs, res.VRFactor)
 	}
 
-	doc := s.resultDoc(j, res)
+	doc := newResultHead(j, res)
 	if doc.VRPairs != res.VRPairs || doc.VRFactor != res.VRFactor || doc.VRCoeff != res.VRCoeff {
 		t.Errorf("result document dropped VR diagnostics: %+v", doc)
 	}
