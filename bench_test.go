@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"raidrel/internal/campaign"
@@ -620,6 +621,34 @@ func BenchmarkAdaptiveCampaignBiased(b *testing.B) {
 		iters = res.Iterations
 	}
 	b.ReportMetric(float64(iters), "iterations_to_target")
+}
+
+// BenchmarkAdaptiveCampaignCond measures the orchestrator on its
+// cheapest iterations: the scrubbed base case on the block engine with the
+// antithetic, stratified and conditional-DDF variates, to a ±0.5% interval
+// in 8192-iteration batches, journaling a checkpoint after every batch.
+// Dispatch, scratch preparation (the CondDDF quadrature), merge and the
+// journal weigh most here, so the runner's persistence shows up.
+func BenchmarkAdaptiveCampaignCond(b *testing.B) {
+	cfg := baseSimConfig()
+	cfg.VR = sim.VR{Antithetic: true, Stratify: true, CondVariate: true}
+	dir := b.TempDir()
+	var iters, batches int
+	for i := 0; i < b.N; i++ {
+		res, err := campaign.Run(context.Background(), campaign.Spec{
+			Config:       cfg,
+			Seed:         benchOpt.Seed,
+			BatchSize:    8192,
+			TargetRelErr: 0.005,
+			Checkpoint:   filepath.Join(dir, "cond.ckpt.json"),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters, batches = res.Iterations, res.Batches
+	}
+	b.ReportMetric(float64(iters), "iterations_to_target")
+	b.ReportMetric(float64(batches), "batches")
 }
 
 // BenchmarkServiceResultHit measures raidreld's cache-hit path in

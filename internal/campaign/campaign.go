@@ -44,7 +44,8 @@ type Spec struct {
 	// Seed is the campaign RNG seed; iteration i always draws from
 	// rng.ForStream(Seed, i) regardless of batching, workers, or resume.
 	Seed uint64
-	// Workers is the per-batch parallelism (0 = GOMAXPROCS).
+	// Workers is the number of simulation workers the campaign's runner
+	// keeps for its whole life (0 = GOMAXPROCS).
 	Workers int
 	// Engine selects the simulation engine (nil = sim.DefaultEngine of
 	// Config, the fastest engine that can run it).
@@ -206,6 +207,20 @@ func (s Spec) BatchSpec(done int) sim.RunSpec {
 	}
 }
 
+// runSpec returns the run of the rest of the campaign after done
+// completed iterations: BatchSpec(done) stretched to MaxIterations, or
+// without an iteration budget to the longest range of whole batches the
+// stream index can address. Run hands it to one sim.RunBatches runner.
+func (s Spec) runSpec(done int) sim.RunSpec {
+	rs := s.BatchSpec(done)
+	if s.MaxIterations > 0 {
+		rs.Iterations = s.MaxIterations - done
+	} else {
+		rs.Iterations = (math.MaxInt - rs.Offset) / s.BatchSize * s.BatchSize
+	}
+	return rs
+}
+
 // checkpointPath returns where checkpoints should be written, or "".
 func (s Spec) checkpointPath() string {
 	if s.Checkpoint != "" {
@@ -353,17 +368,14 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	sum.extend(run)
 	start := spec.now()
 	// res is the view the stopping rules judge: assembled once per batch,
-	// right after the batch merges, and reused at the top of the loop with
-	// only its wall clock refreshed.
+	// right after the batch merges, and judged with its wall clock
+	// refreshed.
 	res := assemble(spec, sum, run, batches, resumedFrom, 0)
-	// br collects one batch at a time; reusing it keeps its event capacity
-	// from batch to batch.
-	br := &sim.SparseResult{}
-	for {
+	// judge applies the stopping rules to res and reports whether the
+	// campaign goes on.
+	judge := func() bool {
 		done := run.Groups
-		elapsed := spec.now().Sub(start)
-		res.Elapsed = elapsed
-
+		res.Elapsed = spec.now().Sub(start)
 		switch {
 		case ctx.Err() != nil:
 			res.Reason = StopCancelled
@@ -371,35 +383,54 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			res.Reason = StopTarget
 		case spec.MaxIterations > 0 && done >= spec.MaxIterations:
 			res.Reason = StopMaxIterations
-		case spec.MaxDuration > 0 && done > 0 && elapsed >= spec.MaxDuration:
+		case spec.MaxDuration > 0 && done > 0 && res.Elapsed >= spec.MaxDuration:
 			res.Reason = StopMaxDuration
 		}
-		if res.Reason != StopNone {
-			report(spec, res, start, true)
-			if ckpt != nil {
-				if err := ckpt.close(); err != nil {
-					return nil, fmt.Errorf("campaign: checkpoint: %w", err)
-				}
-			}
-			return res, nil
-		}
-
-		br.Reset()
-		if err := sim.RunCollect(spec.BatchSpec(done), br); err != nil {
-			return nil, err
-		}
+		return res.Reason == StopNone
+	}
+	// br collects one batch at a time; reusing it keeps its event capacity
+	// from batch to batch.
+	br := &sim.SparseResult{}
+	var saveErr error
+	// boundary runs between batches on this goroutine while the runner's
+	// workers simulate ahead: merge, summary, journal, progress, stopping
+	// rules.
+	boundary := func(int) bool {
 		run.Merge(br)
+		br.Reset()
 		batches++
 		sum.extend(run)
-
 		if ckpt != nil {
 			if err := ckpt.save(run, batches); err != nil {
-				return nil, fmt.Errorf("campaign: checkpoint: %w", err)
+				saveErr = fmt.Errorf("campaign: checkpoint: %w", err)
+				return false
 			}
 		}
 		res = assemble(spec, sum, run, batches, resumedFrom, spec.now().Sub(start))
 		report(spec, res, start, false)
+		return judge()
 	}
+	// One runner serves the rest of the campaign; the loop only comes round
+	// again if an unbounded campaign exhausts its stream range.
+	for res.Reason == StopNone && judge() {
+		err := sim.RunBatches(spec.runSpec(run.Groups), spec.BatchSize, br, boundary)
+		if saveErr != nil {
+			return nil, saveErr
+		}
+		if err != nil {
+			return nil, err
+		}
+		// Stamped once the runner has drained, so the wall clock covers
+		// the whole campaign loop.
+		res.Elapsed = spec.now().Sub(start)
+	}
+	report(spec, res, start, true)
+	if ckpt != nil {
+		if err := ckpt.close(); err != nil {
+			return nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // Summarize builds the Result view — counts, CI, relative error, ESS — of

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"raidrel/internal/sim"
 )
@@ -199,24 +200,106 @@ func (j *journal) save(run *sim.SparseResult, batches int) error {
 	if j.f == nil {
 		return j.start(run, batches)
 	}
-	fr := checkpointFrame{
-		NextStream: run.Groups,
-		Batches:    batches,
-		Events:     encodeEvents(run.Events[j.events:]),
-		Fleet:      run.Fleet,
-	}
+	var blocks []sim.VRBlock
 	if run.VR != nil {
-		fr.VRBlocks = run.VR.Blocks[j.blocks:]
+		blocks = run.VR.Blocks[j.blocks:]
 	}
-	data, err := json.Marshal(fr)
+	data, err := encodeFrame(run.Groups, batches, run.Events[j.events:], blocks, run.Fleet)
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
+	if _, err := j.f.Write(data); err != nil {
 		return err
 	}
 	j.mark(run)
 	return nil
+}
+
+// Per-entry shares of a frame's buffer: the fixed keys and counters, one
+// compact event, one VR block.
+const (
+	frameBytes      = 64
+	frameEventBytes = 48
+	frameBlockBytes = 96
+)
+
+// encodeFrame renders one journal frame line: exactly the bytes
+// json.Marshal writes for the checkpointFrame of these fields, then a
+// newline. The events are appended straight from the run's index, with
+// no per-event copy and no reflection; the VR blocks and the fleet tally
+// go through encoding/json. The buffer is sized for this frame alone and
+// not kept, so no frame's size outlives its write.
+func encodeFrame(nextStream, batches int, events []sim.GroupEvent, blocks []sim.VRBlock, fleet *sim.FleetTally) ([]byte, error) {
+	buf := make([]byte, 0, frameBytes+len(events)*frameEventBytes+len(blocks)*frameBlockBytes)
+	buf = append(buf, `{"next_stream":`...)
+	buf = strconv.AppendInt(buf, int64(nextStream), 10)
+	buf = append(buf, `,"batches":`...)
+	buf = strconv.AppendInt(buf, int64(batches), 10)
+	buf = append(buf, `,"events":[`...)
+	var err error
+	for i, e := range events {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `{"g":`...)
+		buf = strconv.AppendInt(buf, int64(e.Group), 10)
+		buf = append(buf, `,"t":`...)
+		if buf, err = AppendJSONFloat(buf, e.Time); err != nil {
+			return nil, err
+		}
+		buf = append(buf, `,"c":`...)
+		buf = strconv.AppendInt(buf, int64(e.Cause), 10)
+		if e.LogW != 0 {
+			buf = append(buf, `,"lw":`...)
+			if buf, err = AppendJSONFloat(buf, e.LogW); err != nil {
+				return nil, err
+			}
+		}
+		buf = append(buf, '}')
+	}
+	buf = append(buf, ']')
+	if len(blocks) > 0 {
+		if buf, err = appendJSONField(buf, `,"vr_blocks":`, blocks); err != nil {
+			return nil, err
+		}
+	}
+	if fleet != nil {
+		if buf, err = appendJSONField(buf, `,"fleet":`, fleet); err != nil {
+			return nil, err
+		}
+	}
+	return append(buf, "}\n"...), nil
+}
+
+// appendJSONField appends key and v's encoding/json form.
+func appendJSONField(dst []byte, key string, v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(dst, key...), data...), nil
+}
+
+// AppendJSONFloat appends f the way encoding/json writes a float64: the
+// shortest round-tripping 'f' form, switching to 'e' below 1e-6 and at
+// 1e21 and above in magnitude, with a two-digit negative exponent trimmed
+// (1e-07 becomes 1e-7). NaN and the infinities have no JSON form. The
+// checkpoint journal and raidreld's result bodies both write their event
+// floats through it.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("json: unsupported value: %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // start writes the full state as the journal's header line via

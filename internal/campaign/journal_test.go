@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"strconv"
 	"testing"
 
+	"raidrel/internal/dist"
 	"raidrel/internal/sim"
 )
 
@@ -198,4 +201,121 @@ func TestKill9ResumeEqualsUninterrupted(t *testing.T) {
 		}
 		sameCampaign(t, "kill after batch "+strconv.Itoa(k), got, want)
 	}
+}
+
+// frameOracle is a journal frame as encoding/json writes it: the marshaled
+// checkpointFrame of the same fields and a newline. encodeFrame must write
+// exactly these bytes.
+func frameOracle(nextStream, batches int, events []sim.GroupEvent, blocks []sim.VRBlock, fleet *sim.FleetTally) ([]byte, error) {
+	data, err := json.Marshal(checkpointFrame{
+		NextStream: nextStream,
+		Batches:    batches,
+		Events:     encodeEvents(events),
+		VRBlocks:   blocks,
+		Fleet:      fleet,
+	})
+	return append(data, '\n'), err
+}
+
+// TestJournalFrameOracle checks the direct frame appender against the
+// encoding/json oracle on frames of real plain, biased, VR and fleet runs,
+// on hand-picked floats that take encoding/json's exponent form or are
+// subnormal, and on an empty frame, whose events must read [] and never
+// null.
+func TestJournalFrameOracle(t *testing.T) {
+	run := func(cfg sim.Config, fleet *sim.FleetOptions) *sim.SparseResult {
+		t.Helper()
+		res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: 600, Seed: 31, Fleet: fleet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Events) == 0 {
+			t.Fatal("run without events; the frame check is vacuous")
+		}
+		return res
+	}
+	biased := fastConfig()
+	biased.Bias.Op = 4
+	vr := fastConfig()
+	vr.VR = sim.VR{Antithetic: true, Stratify: true, ControlVariate: true, BlockSize: 64}
+	fleetCfg := fastConfig()
+	fleetCfg.Trans.TTOp = dist.MustExponential(1e-3)
+	frames := map[string]*sim.SparseResult{
+		"plain":  run(fastConfig(), nil),
+		"biased": run(biased, nil),
+		"vr":     run(vr, nil),
+		"fleet":  run(fleetCfg, &sim.FleetOptions{Groups: 6, MaxConcurrentRebuilds: 1}),
+		"floats": {Groups: 40, Events: []sim.GroupEvent{
+			{Group: 3, LogW: -2.5e-7, DDF: sim.DDF{Time: 1e-7, Cause: sim.CauseOpOp}},
+			{Group: 3, LogW: -2.5e-7, DDF: sim.DDF{Time: 5e-324, Cause: sim.CauseLdOp}},
+			{Group: 17, LogW: 1.5e21, DDF: sim.DDF{Time: 9.999999e-7, Cause: sim.CauseUnavail}},
+			{Group: 18, LogW: math.Copysign(0, -1), DDF: sim.DDF{Time: 2.2250738585072014e-308, Cause: sim.CauseOpOp}},
+			{Group: 39, LogW: -1e-300, DDF: sim.DDF{Time: 87599.99999999999, Cause: sim.CauseLdOp}},
+		}},
+		"empty": {Groups: 600},
+	}
+	if !frames["biased"].Weighted() || frames["vr"].VR == nil || frames["fleet"].Fleet == nil {
+		t.Fatal("a run lacks the shape its frame stands for")
+	}
+	for name, res := range frames {
+		var blocks []sim.VRBlock
+		if res.VR != nil {
+			blocks = res.VR.Blocks
+		}
+		got, err := encodeFrame(res.Groups, 2, res.Events, blocks, res.Fleet)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := frameOracle(res.Groups, 2, res.Events, blocks, res.Fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: frame differs from the encoding/json oracle\ngot:  %s\nwant: %s", name, got, want)
+		}
+		if name == "empty" && !bytes.Contains(got, []byte(`"events":[]`)) {
+			t.Errorf("empty frame %s does not list its events as []", got)
+		}
+	}
+	bad := []sim.GroupEvent{{Group: 1, DDF: sim.DDF{Time: math.Inf(1)}}}
+	if _, err := encodeFrame(2, 1, bad, nil, nil); err == nil {
+		t.Error("an infinite event time encoded without error")
+	}
+}
+
+// FuzzJournalFrame checks frames appended from two arbitrary (group, time,
+// cause, log weight) events, a VR block and a fleet tally with arbitrary
+// sums against the encoding/json oracle: the same bytes, and an error
+// exactly when the oracle has one (NaN, ±Inf). Each input is checked as
+// frames of zero, one and two events, with and without the tallies.
+func FuzzJournalFrame(f *testing.F) {
+	f.Add(0, 1234.5678, 1, 0.0, 7, 87600.0, 2, 0.0, 3.5, 12.25)
+	f.Add(12, 5e-324, 1, -2.5, 12, 1e-7, 2, -2.5, 1e-7, 0.0)
+	f.Add(-1, 1e21, 3, 1e-300, math.MaxInt64, 9.999999e-7, -4, -1e21, -0.0, 1e300)
+	f.Add(5, math.NaN(), 1, 0.0, 6, 1.0, 1, math.Inf(-1), math.Inf(1), math.NaN())
+	f.Fuzz(func(t *testing.T, g1 int, t1 float64, c1 int, lw1 float64, g2 int, t2 float64, c2 int, lw2 float64, y, hours float64) {
+		events := []sim.GroupEvent{
+			{Group: g1, LogW: lw1, DDF: sim.DDF{Time: t1, Cause: sim.Cause(c1)}},
+			{Group: g2, LogW: lw2, DDF: sim.DDF{Time: t2, Cause: sim.Cause(c2)}},
+		}
+		blocks := []sim.VRBlock{{Y: y, Z: hours, Y2: y * y, C: -y, N: 64, P: 32}}
+		fleet := &sim.FleetTally{Chronologies: 3, GroupsPer: 6, Failures: 2, Rebuilds: 2, TotalWaitHours: hours, MaxWaitHours: y}
+		for n := 0; n <= len(events); n++ {
+			for _, tallies := range []bool{false, true} {
+				var bl []sim.VRBlock
+				var ft *sim.FleetTally
+				if tallies {
+					bl, ft = blocks, fleet
+				}
+				want, wantErr := frameOracle(g2, n, events[:n], bl, ft)
+				got, err := encodeFrame(g2, n, events[:n], bl, ft)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("%d events, tallies %v: appender error %v, oracle error %v", n, tallies, err, wantErr)
+				}
+				if err == nil && !bytes.Equal(got, want) {
+					t.Fatalf("%d events, tallies %v differ from the oracle\ngot:  %s\nwant: %s", n, tallies, got, want)
+				}
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"raidrel/internal/dist"
+	"raidrel/internal/rng"
 	"raidrel/internal/sim"
 )
 
@@ -511,5 +512,41 @@ func TestVREfficiencyFigureScrubbed(t *testing.T) {
 		if bd.Control != 0 {
 			t.Errorf("indicator-control credit %.2f on a cond-variate campaign, want 0", bd.Control)
 		}
+	}
+}
+
+// TestCondCampaignPrepsOncePerWorker: a block-engine worker prepares its
+// scratch once — for the conditional-DDF variate that includes the
+// CondDDF quadrature, hundreds of allocations — and a campaign keeps its
+// workers for its whole life, so every batch after the first costs far
+// less than one prep. A runner started per batch would pay a prep per
+// worker per batch.
+func TestCondCampaignPrepsOncePerWorker(t *testing.T) {
+	cfg := scrubBaseConfig()
+	cfg.VR = sim.VR{Antithetic: true, Stratify: true, CondVariate: true, BlockSize: 64}
+	// The engine's one-group entry point prepares a pooled scratch per
+	// call: its allocations are one prep's.
+	var r rng.RNG
+	var buf []sim.DDF
+	prep := testing.AllocsPerRun(20, func() {
+		r.SeedStream(9, 0)
+		buf, _, _ = sim.BlockEngine{}.SimulateInto(cfg, &r, buf[:0])
+	})
+	allocs := func(batches int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := Run(context.Background(), Spec{Config: cfg, Seed: 9, Workers: 2, BatchSize: 256, MaxIterations: 256 * batches})
+			if err != nil || res.Batches != batches {
+				t.Fatalf("campaign: %v", err)
+			}
+		})
+	}
+	one, nine := allocs(1), allocs(9)
+	perBatch := (nine - one) / 8
+	t.Logf("one prep: %.0f allocs; campaign: %.0f allocs in 1 batch, %.0f in 9, %.1f per extra batch", prep, one, nine, perBatch)
+	if prep < 100 {
+		t.Fatalf("a prep takes %.0f allocations; the test cannot tell preps from batch overhead", prep)
+	}
+	if perBatch >= prep {
+		t.Fatalf("each batch after the first allocates %.0f, at least one prep's %.0f: workers re-prepare per batch", perBatch, prep)
 	}
 }

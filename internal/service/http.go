@@ -159,18 +159,32 @@ func newResultHead(j *Job, res *campaign.Result) resultHead {
 		head.OpOpDDFs = run.OpOpDDFs
 		head.LdOpDDFs = run.LdOpDDFs
 		head.UnavailEvents = run.UnavailEvents
-		head.GroupsWithUnavail = run.GroupsWithUnavail()
+		head.GroupsWithUnavail = res.GroupsWithUnavail
 		if run.Fleet != nil {
 			fleet := *run.Fleet
 			head.Fleet = &fleet
 		}
-		if res.Iterations > 0 {
-			total, _, _ := run.WeightedCauseTotals()
-			head.DDFsPer1000 = total * 1000 / float64(res.Iterations)
-			head.UnavailPer1000 = run.WeightedUnavailTotal() * 1000 / float64(res.Iterations)
-		}
+		head.DDFsPer1000, head.UnavailPer1000 = j.rates.ddfs, j.rates.unavail
 	}
 	return head
+}
+
+// resultRates are the importance-weighted rates per 1,000 groups of a
+// finished result's events, fixed once its run is: computed when the job
+// finishes or is merged, not on every result request.
+type resultRates struct {
+	ddfs, unavail float64
+}
+
+// ratesOf scans res's events for its weighted rates; zero without a run
+// or iterations.
+func ratesOf(res *campaign.Result) resultRates {
+	if res == nil || res.Run == nil || res.Iterations == 0 {
+		return resultRates{}
+	}
+	total, _, _ := res.Run.WeightedCauseTotals()
+	n := float64(res.Iterations)
+	return resultRates{ddfs: total * 1000 / n, unavail: res.Run.WeightedUnavailTotal() * 1000 / n}
 }
 
 // eventBytes is a typical indented event's size in the result body, the
@@ -223,40 +237,20 @@ func appendEvents(dst []byte, events []sim.GroupEvent) ([]byte, error) {
 		dst = append(dst, "\n    {\n      \"g\": "...)
 		dst = strconv.AppendInt(dst, int64(e.Group), 10)
 		dst = append(dst, ",\n      \"t\": "...)
-		if dst, err = appendJSONFloat(dst, e.Time); err != nil {
+		if dst, err = campaign.AppendJSONFloat(dst, e.Time); err != nil {
 			return nil, err
 		}
 		dst = append(dst, ",\n      \"c\": "...)
 		dst = strconv.AppendInt(dst, int64(e.Cause), 10)
 		if e.LogW != 0 {
 			dst = append(dst, ",\n      \"lw\": "...)
-			if dst, err = appendJSONFloat(dst, e.LogW); err != nil {
+			if dst, err = campaign.AppendJSONFloat(dst, e.LogW); err != nil {
 				return nil, err
 			}
 		}
 		dst = append(dst, "\n    }"...)
 	}
 	return append(dst, "\n  ]"...), nil
-}
-
-// appendJSONFloat appends f the way encoding/json writes a float64: the
-// shortest round-tripping 'f' form, switching to 'e' below 1e-6 and at
-// 1e21 and above in magnitude, with a two-digit negative exponent trimmed
-// (1e-07 becomes 1e-7). NaN and the infinities have no JSON form.
-func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("service: unsupported JSON value %v", f)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst, nil
 }
 
 // writeResult answers with a finished job's result body, or 500 when it

@@ -243,6 +243,7 @@ type Job struct {
 	hasSnap   bool
 	subs      map[chan campaign.Snapshot]struct{}
 	result    *campaign.Result
+	rates     resultRates // result's weighted rates, set with it
 	err       error
 	submitted time.Time
 	started   time.Time
@@ -327,6 +328,7 @@ func (j *Job) Unsubscribe(ch <-chan campaign.Snapshot) {
 // finish moves the job to a terminal state; later calls are no-ops.
 // Caller must not hold j.mu.
 func (j *Job) finish(state JobState, res *campaign.Result, err error, now time.Time) {
+	rates := ratesOf(res)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	select {
@@ -337,6 +339,7 @@ func (j *Job) finish(state JobState, res *campaign.Result, err error, now time.T
 	j.state = state
 	if res != nil {
 		j.result = res
+		j.rates = rates
 	}
 	j.err = err
 	j.finished = now

@@ -171,6 +171,7 @@ func (s *Server) MergeJobs(ids []string) (*Job, error) {
 		seq:         s.nextSeq,
 		state:       JobDone,
 		result:      result,
+		rates:       ratesOf(result),
 		submitted:   now,
 		started:     now,
 		finished:    now,

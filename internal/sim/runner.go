@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"raidrel/internal/rng"
 )
@@ -139,6 +140,12 @@ func (h *unit) recycle() {
 	h.err = nil
 }
 
+// putUnit recycles h into the pool.
+func putUnit(h *unit) {
+	h.recycle()
+	unitPool.Put(h)
+}
+
 // record stashes iteration idx's events in the unit's arena. ddfs is
 // worker scratch reused for the next iteration, so the events are copied.
 func (h *unit) record(idx int, ddfs []DDF) {
@@ -149,27 +156,51 @@ func (h *unit) record(idx int, ddfs []DDF) {
 	h.ddfs = append(h.ddfs, ddfs...)
 }
 
-// RunCollect executes the campaign, streaming every iteration's DDFs into
-// c in strict iteration order. Iterations are dispatched in units of
-// contiguous, globally aligned iterations — Fleet.Groups per fleet
-// chronology, Config.VR.EffectiveBlock() otherwise — and worker w simulates
-// units u ≡ w (mod workers), iteration i from RNG stream Offset+i. The
-// merger round-robins the worker channels and replays each unit into
-// c.Observe, forwarding the unit's VR tally to a VRBlockObserver and its
-// heal-backlog statistics to a FleetObserver, so c observes exactly the
-// sequence a serial loop would produce, bit-identical for any worker count,
-// while peak memory stays O(workers·window) units instead of
-// O(iterations). Units align to multiples of their size in global
-// (Offset-shifted) iteration space, so a batch starting at a unit boundary
-// continues the exact unit sequence of an unbatched run; the edge units of
-// unaligned runs are clipped.
-//
-// Each worker reuses one RNG (reseeded per stream), one DDF buffer, and
-// its engine's pooled scratch — the steady-state event-free iteration
-// allocates nothing.
+// RunCollect executes the run as one batch, streaming every iteration's
+// DDFs into c in strict iteration order: RunBatches with a single batch
+// and no boundary callback.
 func RunCollect(spec RunSpec, c Collector) error {
+	return RunBatches(spec, spec.Iterations, c, nil)
+}
+
+// RunBatches executes the run as consecutive batches of batch iterations
+// (the last one clipped to the run) on one set of workers that lives for
+// the whole run, streaming every iteration's DDFs into c in strict
+// iteration order. Observe indices count from 0 within each batch, so c
+// sees each batch exactly as a separate RunCollect of that batch's range
+// would show it. After each batch the merger calls boundary(done), done
+// being the iterations completed so far, on the caller's goroutine; the
+// workers keep simulating meanwhile, up to unitWindow units each. When
+// boundary returns false the run stops: workers notice within one
+// iteration, their speculative units are discarded unobserved, and
+// RunBatches returns nil once every worker has exited and released its
+// scratch. A nil boundary runs the whole range.
+//
+// Iterations are dispatched in units of contiguous iterations, cut at
+// multiples of the unit size in global (Offset-shifted) iteration space —
+// Fleet.Groups per fleet chronology, Config.VR.EffectiveBlock() otherwise —
+// and at batch boundaries, so the unit sequence is exactly the one k
+// separate per-batch runs would dispatch. Worker w simulates the units
+// whose sequence number is w modulo the worker count, iteration i from RNG
+// stream Offset+i. The merger round-robins the worker channels and replays
+// each unit into c.Observe, forwarding the unit's VR tally to a
+// VRBlockObserver and its heal-backlog statistics to a FleetObserver, so c
+// observes exactly the sequence a serial loop would produce, bit-identical
+// for any worker count, while peak memory stays O(workers·window) units
+// instead of O(iterations).
+//
+// Each worker prepares its engine scratch once, then reuses it, one RNG
+// (reseeded per stream) and one DDF buffer across every batch — the
+// steady-state event-free iteration allocates nothing.
+func RunBatches(spec RunSpec, batch int, c Collector, boundary func(done int) bool) error {
 	if err := spec.Validate(); err != nil {
 		return err
+	}
+	if batch < 1 {
+		return fmt.Errorf("sim: batch size must be >= 1, got %d", batch)
+	}
+	if f := spec.Fleet; f != nil && batch%f.Groups != 0 {
+		return fmt.Errorf("sim: fleet runs need batches (%d) in whole chronologies of %d groups", batch, f.Groups)
 	}
 	size := spec.Config.VR.EffectiveBlock()
 	if spec.Fleet != nil {
@@ -179,61 +210,95 @@ func RunCollect(spec RunSpec, c Collector) error {
 	}
 
 	lo, hi := spec.Offset, spec.Offset+spec.Iterations
-	u0, uLast := lo/size, (hi-1)/size
-	span := func(u int) (ulo, uhi int) {
-		return max(u*size, lo), min((u+1)*size, hi)
+	// cut returns the end of the unit starting at ulo: the next unit
+	// boundary, batch boundary or the run's end, whichever comes first.
+	cut := func(ulo int) int {
+		end := hi
+		if u := ulo - ulo%size; end-u > size {
+			end = u + size
+		}
+		if b := ulo - (ulo-lo)%batch; end-b > batch {
+			end = b + batch
+		}
+		return end
 	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, uLast-u0+1)
+	// The aligned unit count is a floor on the cut one: no worker is left
+	// without a unit (and a scratch prepared for nothing).
+	workers = min(workers, (hi-1)/size-lo/size+1)
 
-	// done releases workers blocked on a full channel when the merger
-	// aborts early on an error. Every worker has exited by the time
-	// RunCollect returns (the deferred Wait runs after close(done)), so its
+	// stop tells workers to abandon their current unit; done releases
+	// workers blocked on a full channel. Every worker has exited by the
+	// time RunBatches returns (the deferred Wait runs after both), so its
 	// goroutine and engine scratch are free for the next run to reuse
-	// rather than allocate anew.
+	// rather than allocate anew, and the units simulated ahead of the stop
+	// go back to the pool unobserved.
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	defer wg.Wait()
 	done := make(chan struct{})
-	defer close(done)
 	chans := make([]chan *unit, workers)
+	defer func() {
+		stop.Store(true)
+		close(done)
+		wg.Wait()
+		for _, ch := range chans {
+			for len(ch) > 0 {
+				putUnit(<-ch)
+			}
+		}
+	}()
 	wg.Add(workers)
 	for w := range chans {
 		chans[w] = make(chan *unit, unitWindow)
 		go func(w int, out chan<- *unit) {
 			defer wg.Done()
-			wk := newUnitWorker(&spec)
+			wk := newUnitWorker(&spec, &stop)
 			defer wk.release()
-			for u := u0 + w; u <= uLast; u += workers {
-				h := unitPool.Get().(*unit)
-				h.recycle()
-				ulo, uhi := span(u)
-				h.err = wk.fill(h, ulo, uhi)
-				// The merger owns h the moment it is sent (it recycles and
-				// re-pools it), so latch the error before handing it off.
-				failed := h.err != nil
-				select {
-				case out <- h:
-					if failed {
+			for ulo, seq := lo, 0; ulo < hi && !stop.Load(); seq++ {
+				uhi := cut(ulo)
+				if seq%workers == w {
+					h := unitPool.Get().(*unit)
+					h.recycle()
+					h.err = wk.fill(h, ulo, uhi)
+					if stop.Load() {
+						putUnit(h) // a unit cut short is never observed
 						return
 					}
-				case <-done:
-					return
+					// The merger owns h the moment it is sent (it recycles
+					// and re-pools it), so latch the error before handing
+					// it off.
+					failed := h.err != nil
+					select {
+					case out <- h:
+						if failed {
+							return
+						}
+						// The send readied the merger onto this P's run
+						// queue, where it would wait for this worker to
+						// block or be preempted while every P simulates
+						// ahead. Yield so merge and boundary run now.
+						runtime.Gosched()
+					case <-done:
+						return
+					}
 				}
+				ulo = uhi
 			}
 		}(w, chans[w])
 	}
 
 	vrObs, _ := c.(VRBlockObserver)
 	fleetObs, _ := c.(FleetObserver)
-	for u := u0; u <= uLast; u++ {
-		h := <-chans[(u-u0)%workers]
+	first := lo // the current batch's first iteration
+	for ulo, seq := lo, 0; ulo < hi; seq++ {
+		uhi := cut(ulo)
+		h := <-chans[seq%workers]
 		if h.err != nil {
 			return h.err
 		}
-		ulo, _ := span(u)
 		evi := 0
 		for idx, logW := range h.logWs {
 			var ddfs []DDF
@@ -242,7 +307,7 @@ func RunCollect(spec RunSpec, c Collector) error {
 				ddfs = h.ddfs[e.off : e.off+e.n]
 				evi++
 			}
-			c.Observe(ulo+idx-lo, ddfs, logW)
+			c.Observe(ulo+idx-first, ddfs, logW)
 		}
 		if spec.Config.VR.Enabled() && vrObs != nil {
 			vrObs.ObserveVRBlock(size, h.ez, h.vr)
@@ -250,8 +315,14 @@ func RunCollect(spec RunSpec, c Collector) error {
 		if spec.Fleet != nil && fleetObs != nil {
 			fleetObs.ObserveFleetChronology(size, h.fleet)
 		}
-		h.recycle()
-		unitPool.Put(h)
+		putUnit(h)
+		ulo = uhi
+		if ulo == hi || (ulo-lo)%batch == 0 {
+			if boundary != nil && !boundary(ulo-lo) {
+				return nil
+			}
+			first = ulo
+		}
 	}
 	return nil
 }
@@ -262,14 +333,15 @@ func RunCollect(spec RunSpec, c Collector) error {
 // and every other engine calls SimulateInto once per iteration.
 type unitWorker struct {
 	spec *RunSpec
+	stop *atomic.Bool  // set when the run ends; fill loops check it
 	sc   *blockScratch // block-engine runs only
 	r    rng.RNG
 	buf  []DDF
 }
 
 // newUnitWorker prepares one worker's state for a validated spec.
-func newUnitWorker(spec *RunSpec) *unitWorker {
-	wk := &unitWorker{spec: spec}
+func newUnitWorker(spec *RunSpec, stop *atomic.Bool) *unitWorker {
+	wk := &unitWorker{spec: spec, stop: stop}
 	if _, ok := spec.Engine.(BlockEngine); ok {
 		wk.sc = blockScratchPool.Get().(*blockScratch)
 		wk.sc.prep(&spec.Config)
@@ -285,7 +357,8 @@ func (wk *unitWorker) release() {
 	}
 }
 
-// fill simulates the global iterations [lo, hi) into h.
+// fill simulates the global iterations [lo, hi) into h, or a prefix of
+// them when the run stops meanwhile.
 func (wk *unitWorker) fill(h *unit, lo, hi int) error {
 	spec := wk.spec
 	// A fresh unit sizes its weight column once instead of growing it.
@@ -300,7 +373,7 @@ func (wk *unitWorker) fill(h *unit, lo, hi int) error {
 		wk.fillBlock(h, lo, hi)
 		return nil
 	}
-	for g := lo; g < hi; g++ {
+	for g := lo; g < hi && !wk.stop.Load(); g++ {
 		wk.r.SeedStream(spec.Seed, uint64(g))
 		var logW float64
 		var err error
@@ -324,7 +397,7 @@ func (wk *unitWorker) fillBlock(h *unit, lo, hi int) {
 	sc := wk.sc
 	h.ez = sc.ez
 	prevY := 0.0
-	for g := lo; g < hi; g++ {
+	for g := lo; g < hi && !wk.stop.Load(); g++ {
 		stream, anti := vr.stream(g)
 		wk.r.SeedStream(wk.spec.Seed, stream)
 		wk.r.SetAntithetic(anti)

@@ -3,7 +3,9 @@ package sim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"raidrel/internal/dist"
 )
@@ -32,6 +34,8 @@ func paperBaseConfig() Config {
 // count, and running [0,k) then [k,n) with Offset k merges to exactly the
 // [0,n) run — with k off every unit boundary (except for fleets, whose
 // offsets must be whole chronologies), so clipped edge units are covered.
+// One RunBatches runner cutting batches of k iterations must observe each
+// batch exactly as its own RunCollect would, however early it stops.
 // The VR block and fleet backlog tallies must match across worker counts
 // too, and the fleet tally must also survive the split.
 func TestRunInvariance(t *testing.T) {
@@ -104,6 +108,7 @@ func TestRunInvariance(t *testing.T) {
 				if head.Groups != n || !reflect.DeepEqual(head.Events, want.Events) {
 					t.Fatalf("Workers:%d: [0,%d) ++ [%d,%d) differs from the whole run", workers, kind.split, kind.split, n)
 				}
+				checkBatches(t, kind.spec, n, kind.split, workers)
 				if want.Fleet != nil {
 					// The wait-hour and depth sums fold per-chronology values
 					// in a different association when split, so they match to
@@ -121,6 +126,78 @@ func TestRunInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkBatches runs [0,n) of spec through one RunBatches runner in
+// batches of size batch, stopping at batch k for a few k, and checks every
+// batch it observed against a separate RunCollect of that batch's range:
+// the same events and weights, VR block tallies and fleet tally, bit for
+// bit, with boundary reporting the iterations done and the runner stopping
+// exactly where boundary said so.
+func checkBatches(t *testing.T, spec RunSpec, n, batch, workers int) {
+	t.Helper()
+	spec.Iterations, spec.Workers, spec.Seed = n, workers, 20070625
+	batches := (n + batch - 1) / batch
+	for _, k := range []int{1, 3, batches} {
+		br := &SparseResult{}
+		var got []*SparseResult
+		err := RunBatches(spec, batch, br, func(done int) bool {
+			if want := min(len(got)*batch+batch, n); done != want {
+				t.Fatalf("Workers:%d: boundary at %d iterations, want %d", workers, done, want)
+			}
+			snap := &SparseResult{}
+			snap.Merge(br)
+			got = append(got, snap)
+			br.Reset()
+			return len(got) < k
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != k {
+			t.Fatalf("Workers:%d: stopping at batch %d observed %d batches", workers, k, len(got))
+		}
+		for b, g := range got {
+			one := spec
+			one.Offset = b * batch
+			one.Iterations = min(batch, n-one.Offset)
+			want, err := RunSparse(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Groups != want.Groups || !reflect.DeepEqual(g.Events, want.Events) ||
+				!reflect.DeepEqual(g.VR, want.VR) || !reflect.DeepEqual(g.Fleet, want.Fleet) {
+				t.Fatalf("Workers:%d, stop at %d: batch %d differs from its own RunCollect", workers, k, b)
+			}
+		}
+	}
+}
+
+// TestRunBatchesStopLeavesNoGoroutine: a runner over an effectively
+// endless range that its boundary stops after one batch returns promptly,
+// with every worker gone.
+func TestRunBatchesStopLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := RunSpec{Config: paperBaseConfig(), Iterations: math.MaxInt / 2, Seed: 5, Workers: 3}
+	batches := 0
+	err := RunBatches(spec, 512, CollectorFunc(func(int, []DDF, float64) {}), func(int) bool {
+		batches++
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches != 1 {
+		t.Fatalf("boundary called %d times after returning false", batches)
+	}
+	// A worker's goroutine ends just after its deferred Done, so give the
+	// scheduler a moment before counting.
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after a stopped run, %d before", n, before)
 	}
 }
 

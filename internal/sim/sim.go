@@ -33,7 +33,8 @@
 //     default wherever it can run a configuration, and the only engine
 //     implementing variance reduction (VR).
 //
-// RunCollect drives any of them through one ordered dispatch loop.
+// RunBatches (and RunCollect, its one-batch call) drives any of them
+// through one ordered dispatch loop.
 package sim
 
 import (
