@@ -92,23 +92,33 @@ func (s Spec) engineName() string {
 	return fmt.Sprintf("%T", e)
 }
 
+// LegacyFingerprint returns the fingerprint this campaign's checkpoints
+// carried when a nil engine meant the event engine, or "" when it equals
+// Fingerprint or never applied: an explicit engine or a fleet campaign.
+func (s Spec) LegacyFingerprint() string {
+	if s.Engine != nil || s.Fleet != nil {
+		return ""
+	}
+	legacy := s
+	legacy.Engine = sim.EventEngine{}
+	if fp := legacy.Fingerprint(); fp != s.Fingerprint() {
+		return fp
+	}
+	return ""
+}
+
 // resumeEngine returns the engine a campaign restoring a checkpoint with
-// fingerprint fp continues on: its own when fp is its fingerprint. A nil
-// engine used to mean the event engine, so a nil-engine spec whose
-// fingerprint with an explicit sim.EventEngine{} is fp continues on the
-// event engine, bit-identical to the uninterrupted run that wrote the
-// checkpoint. Any other fingerprint is an error.
+// fingerprint fp continues on: its own when fp is its fingerprint, and
+// the event engine when fp is its LegacyFingerprint, bit-identical to the
+// uninterrupted run that wrote the checkpoint. Any other fingerprint is
+// an error.
 func (s Spec) resumeEngine(fp string) (sim.Engine, error) {
 	want := s.Fingerprint()
 	if fp == want {
 		return s.Engine, nil
 	}
-	if s.Engine == nil && s.Fleet == nil {
-		legacy := s
-		legacy.Engine = sim.EventEngine{}
-		if fp == legacy.Fingerprint() {
-			return legacy.Engine, nil
-		}
+	if legacy := s.LegacyFingerprint(); legacy != "" && fp == legacy {
+		return sim.EventEngine{}, nil
 	}
 	return nil, fmt.Errorf("checkpoint fingerprint %s does not match campaign %s (config, seed, or engine changed)", fp, want)
 }
@@ -123,7 +133,7 @@ func (s Spec) resumeEngine(fp string) (sim.Engine, error) {
 // The digest is stable across releases (pinned by TestFingerprintStability):
 // changing it would silently orphan every on-disk checkpoint and cached
 // result. A nil engine names the engine it resolves to; checkpoints from
-// when nil meant the event engine still resume, through resumeEngine.
+// when nil meant the event engine still resume, through LegacyFingerprint.
 func (s Spec) Fingerprint() string {
 	cfg := s.Config
 	h := fnv.New64a()

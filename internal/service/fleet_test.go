@@ -68,23 +68,14 @@ func TestFleetJobIdentity(t *testing.T) {
 	scalar := JobSpec{Params: fastParams(), Seed: 3, Iterations: 160}
 	fleet := JobSpec{Params: fleetParams(), Seed: 3, Iterations: 160}
 	fleet.Params.TTR = scalar.Params.TTR // isolate the fleet knob
-	fpScalar, err := scalar.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpFleet, err := fleet.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpScalar := jobOf(t, scalar).Fingerprint
+	fpFleet := jobOf(t, fleet).Fingerprint
 	if fpScalar == fpFleet {
 		t.Error("fleet coupling did not change the job fingerprint")
 	}
 	crews := fleet
 	crews.Params.Fleet = &sim.FleetOptions{Groups: 8, MaxConcurrentRebuilds: 2}
-	fpCrews, err := crews.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpCrews := jobOf(t, crews).Fingerprint
 	if fpCrews == fpFleet {
 		t.Error("repair-slot change did not change the job fingerprint")
 	}

@@ -365,14 +365,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %s", r.PathValue("id")))
 		return
 	}
+	// State first: a job's result and error are set together with its
+	// terminal state and never cleared, so a done job's result is there.
+	state := j.State()
 	res, err := j.Result()
-	switch j.State() {
+	switch state {
 	case JobDone:
 		writeResult(w, j, res)
 	case JobFailed:
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("job %s failed: %v", j.ID, err))
 	default:
-		writeErr(w, http.StatusConflict, fmt.Errorf("job %s is %s, result not available", j.ID, j.State()))
+		writeErr(w, http.StatusConflict, fmt.Errorf("job %s is %s, result not available", j.ID, state))
 	}
 }
 

@@ -109,7 +109,7 @@ func TestHTTPSubmitResultAndCacheHit(t *testing.T) {
 		t.Fatalf("result doc: %+v", res)
 	}
 	// The served result is the campaign result, bit for bit.
-	cspec, err := spec.campaignSpec()
+	cspec, err := spec.lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestHTTPShardMerge(t *testing.T) {
 		t.Fatalf("merged doc: %+v", merged)
 	}
 
-	cspec, err := base.campaignSpec()
+	cspec, err := base.lower()
 	if err != nil {
 		t.Fatal(err)
 	}

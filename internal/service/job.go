@@ -58,7 +58,7 @@ func mulDiv(a, b, c int) int {
 // JobSpec is the wire form of a campaign request. Params is the full model
 // parameterization (the paper's Table 2 plus structural knobs); the rest
 // steers the campaign itself. Exactly the knobs that change the simulated
-// result participate in the cache identity — see CacheKey.
+// result participate in the cache identity — see cacheKey.
 type JobSpec struct {
 	// Params parameterizes the reliability model.
 	Params core.Params `json:"params"`
@@ -86,10 +86,39 @@ type JobSpec struct {
 	Shard *Shard `json:"shard,omitempty"`
 }
 
-// campaignSpec lowers the job to a runnable campaign spec. The returned
-// spec has no checkpoint, progress, or worker settings — the scheduler
-// fills those in.
-func (js JobSpec) campaignSpec() (campaign.Spec, error) {
+// maxJobIterations caps a job's iteration count (a sharded job's total
+// N included). 2^40 groups take about a month at ~4·10^5 groups/s, so a
+// larger count would hold a scheduler slot longer than the daemon runs.
+const maxJobIterations = 1 << 40
+
+// Validate rejects specs that could not run or could not merge.
+func (js JobSpec) Validate() error {
+	_, err := js.lower()
+	return err
+}
+
+// lower validates the spec and lowers it to its campaign spec, calling
+// core.New once. The returned spec has no checkpoint, progress, or worker
+// settings; the scheduler fills those in. Submit derives the job's
+// fingerprint and cache key from it, and the job carries it from there.
+func (js JobSpec) lower() (campaign.Spec, error) {
+	if js.Iterations > maxJobIterations {
+		return campaign.Spec{}, fmt.Errorf("service: %d iterations exceeds the %d-iteration job cap", js.Iterations, maxJobIterations)
+	}
+	if s := js.Shard; s != nil {
+		if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
+			return campaign.Spec{}, fmt.Errorf("service: shard %d/%d invalid", s.Index, s.Count)
+		}
+		if js.Iterations <= 0 {
+			return campaign.Spec{}, fmt.Errorf("service: sharded job needs a positive total iteration count")
+		}
+		if js.TargetRelErr != 0 || js.MaxDurationS != 0 {
+			return campaign.Spec{}, fmt.Errorf("service: sharded jobs must be fixed size (no target_rel_err or max_duration_s): shard boundaries depend on them")
+		}
+		if start, end := s.Range(js.Iterations); end <= start {
+			return campaign.Spec{}, fmt.Errorf("service: shard %d/%d of %d iterations is empty", s.Index, s.Count, js.Iterations)
+		}
+	}
 	m, err := core.New(js.Params)
 	if err != nil {
 		return campaign.Spec{}, err
@@ -109,76 +138,19 @@ func (js JobSpec) campaignSpec() (campaign.Spec, error) {
 		spec.Offset = start
 		spec.MaxIterations = end - start
 	}
-	return spec, nil
-}
-
-// maxJobIterations caps a job's iteration count (a sharded job's total
-// N included). 2^40 groups take about a month at ~4·10^5 groups/s, so a
-// larger count would hold a scheduler slot longer than the daemon runs.
-const maxJobIterations = 1 << 40
-
-// Validate rejects specs that could not run or could not merge.
-func (js JobSpec) Validate() error {
-	_, err := js.lower()
-	return err
-}
-
-// lower validates the spec and lowers it to its campaign spec, calling
-// core.New once; Submit derives the fingerprint and cache key from the
-// returned spec.
-func (js JobSpec) lower() (campaign.Spec, error) {
-	if js.Iterations > maxJobIterations {
-		return campaign.Spec{}, fmt.Errorf("service: %d iterations exceeds the %d-iteration job cap", js.Iterations, maxJobIterations)
-	}
-	if s := js.Shard; s != nil {
-		if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
-			return campaign.Spec{}, fmt.Errorf("service: shard %d/%d invalid", s.Index, s.Count)
-		}
-		if js.Iterations <= 0 {
-			return campaign.Spec{}, fmt.Errorf("service: sharded job needs a positive total iteration count")
-		}
-		if js.TargetRelErr != 0 || js.MaxDurationS != 0 {
-			return campaign.Spec{}, fmt.Errorf("service: sharded jobs must be fixed size (no target_rel_err or max_duration_s): shard boundaries depend on them")
-		}
-		if start, end := s.Range(js.Iterations); end <= start {
-			return campaign.Spec{}, fmt.Errorf("service: shard %d/%d of %d iterations is empty", s.Index, s.Count, js.Iterations)
-		}
-	}
-	spec, err := js.campaignSpec()
-	if err != nil {
-		return campaign.Spec{}, err
-	}
 	if err := spec.Validate(); err != nil {
 		return campaign.Spec{}, err
 	}
 	return spec, nil
 }
 
-// Fingerprint is the campaign config identity — the same digest the
-// checkpoint layer embeds — including the shard offset for shard jobs.
-func (js JobSpec) Fingerprint() (string, error) {
-	spec, err := js.campaignSpec()
-	if err != nil {
-		return "", err
-	}
-	return spec.Fingerprint(), nil
-}
-
-// CacheKey is the result-cache identity: the config fingerprint plus every
-// knob that changes what the campaign computes. Fixed-size jobs are
-// bit-exact for any batch size and worker count, so neither participates;
-// adaptive jobs evaluate their stopping rule at batch boundaries, so for
-// them the batch size does. Two requests with equal keys receive the same
-// answer, simulated at most once.
-func (js JobSpec) CacheKey() (string, error) {
-	fp, err := js.Fingerprint()
-	if err != nil {
-		return "", err
-	}
-	return js.cacheKey(fp), nil
-}
-
-// cacheKey is CacheKey for the config fingerprint fp.
+// cacheKey is the result-cache identity of the job whose lowered spec
+// has config fingerprint fp: the fingerprint plus every knob that changes
+// what the campaign computes. Fixed-size jobs are bit-exact for any batch
+// size and worker count, so neither participates; adaptive jobs evaluate
+// their stopping rule at batch boundaries, so for them the batch size
+// does. Two requests with equal keys receive the same answer, simulated
+// at most once.
 func (js JobSpec) cacheKey(fp string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|iters=%d;target=%g;conf=%g;maxdur=%g",
@@ -219,9 +191,11 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// Job is one tracked campaign. The scheduler owns the lifecycle; HTTP
-// handlers and progress subscribers only read through the accessor
-// methods.
+// Job is one tracked campaign. Every state change happens in one Job
+// method under mu: start (queued to running), stop (queued to canceled,
+// or a cancel request to a running campaign), and finish (to a terminal
+// state). HTTP handlers and progress subscribers only read through the
+// accessor methods.
 type Job struct {
 	// ID is the server-assigned handle.
 	ID string
@@ -235,7 +209,10 @@ type Job struct {
 	// simulated.
 	Merged bool
 
-	seq int // submission order, the FIFO tiebreak within a priority level
+	// lowered is Spec lowered to its campaign spec, once, at submission;
+	// Fingerprint is its fingerprint.
+	lowered campaign.Spec
+	seq     int // submission order, the FIFO tiebreak within a priority level
 
 	mu        sync.Mutex
 	state     JobState
@@ -252,6 +229,20 @@ type Job struct {
 
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
+}
+
+// newJob returns a queued, untracked job for js lowered to spec, whose
+// fingerprint is fp and cache key key.
+func newJob(js JobSpec, spec campaign.Spec, fp, key string, now time.Time) *Job {
+	return &Job{
+		Spec:        js,
+		Fingerprint: fp,
+		CacheKey:    key,
+		lowered:     spec,
+		state:       JobQueued,
+		submitted:   now,
+		done:        make(chan struct{}),
+	}
 }
 
 // State returns the lifecycle phase.
@@ -325,12 +316,50 @@ func (j *Job) Unsubscribe(ch <-chan campaign.Snapshot) {
 	}
 }
 
-// finish moves the job to a terminal state; later calls are no-ops.
-// Caller must not hold j.mu.
+// start moves a queued job to running, stopped by cancel. It reports
+// false, leaving the job alone, when the job already left the queue.
+func (j *Job) start(cancel func(), now time.Time) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != JobQueued {
+		return false
+	}
+	j.state = JobRunning
+	j.started = now
+	j.cancel = cancel
+	return true
+}
+
+// stop cancels the job and returns the state it found: a queued job is
+// canceled at once, and a running one is asked to stop at its next batch
+// boundary (its scheduler slot does the terminal bookkeeping). A terminal
+// job is left alone.
+func (j *Job) stop(now time.Time) JobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	state := j.state
+	switch state {
+	case JobQueued:
+		j.finishLocked(JobCanceled, nil, resultRates{}, nil, now)
+	case JobRunning:
+		j.cancel()
+	}
+	return state
+}
+
+// finish moves a queued or running job to a terminal state: the
+// scheduler slot that started the job calls it, as does MergeJobs for
+// the job it materializes. Later calls are no-ops. Caller must not hold
+// j.mu.
 func (j *Job) finish(state JobState, res *campaign.Result, err error, now time.Time) {
 	rates := ratesOf(res)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.finishLocked(state, res, rates, err, now)
+}
+
+// finishLocked is finish with j.mu held and res's rates computed.
+func (j *Job) finishLocked(state JobState, res *campaign.Result, rates resultRates, err error, now time.Time) {
 	select {
 	case <-j.done:
 		return // already terminal

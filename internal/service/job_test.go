@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
+	"raidrel/internal/campaign"
 	"raidrel/internal/core"
 	"raidrel/internal/sim"
 )
@@ -31,7 +34,7 @@ func TestShardRangeOverflow(t *testing.T) {
 		if err := js.Validate(); err != nil {
 			continue // rejecting such a spec is fine; running a wrong slice is not
 		}
-		spec, err := js.campaignSpec()
+		spec, err := js.lower()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,10 +45,69 @@ func TestShardRangeOverflow(t *testing.T) {
 	}
 }
 
+// TestJobTransitionsAtomic races start against stop on fresh queued jobs,
+// as a scheduler slot dequeuing a job races a Cancel. Exactly one side
+// wins each race: start reports true, and stop finds the job running and
+// asks its campaign to stop, or stop finds it queued and cancels it, and
+// start reports false. A finish after the job is terminal is a no-op: it
+// neither changes the state nor closes done a second time.
+func TestJobTransitionsAtomic(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		j := newJob(JobSpec{}, campaign.Spec{}, "", "", time.Time{})
+		var (
+			started, asked bool
+			found          JobState
+			wg             sync.WaitGroup
+		)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			started = j.start(func() { asked = true }, time.Time{})
+		}()
+		go func() {
+			defer wg.Done()
+			found = j.stop(time.Time{})
+		}()
+		wg.Wait()
+		switch {
+		case started && (found != JobRunning || !asked):
+			t.Fatalf("race %d: start won but stop found %s (cancel asked: %v)", i, found, asked)
+		case !started && (found != JobQueued || asked):
+			t.Fatalf("race %d: stop won but found %s (cancel asked: %v)", i, found, asked)
+		}
+		want := JobCanceled
+		if started {
+			// The slot that started the job does its terminal bookkeeping.
+			j.finish(JobCanceled, nil, nil, time.Time{})
+		}
+		j.finish(JobDone, nil, nil, time.Time{})
+		if st := j.State(); st != want {
+			t.Fatalf("race %d: state %s after a second finish, want %s", i, st, want)
+		}
+		select {
+		case <-j.Done():
+		default:
+			t.Fatalf("race %d: terminal job's done channel is open", i)
+		}
+	}
+}
+
+// jobOf lowers js as Submit does and returns the untracked job, carrying
+// the fingerprint and cache key Submit gives it.
+func jobOf(t testing.TB, js JobSpec) *Job {
+	t.Helper()
+	spec, err := js.lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := spec.Fingerprint()
+	return newJob(js, spec, fp, js.cacheKey(fp), time.Time{})
+}
+
 // FuzzJobSpec feeds arbitrary bytes through the daemon's request decoder
 // (decodeBody: unknown fields are an error) and JobSpec.Validate. Whatever
 // validates must be runnable: a sharded spec's slice lies inside the
-// campaign, 0 <= start < end <= Iterations, the cache key derives without
+// campaign, 0 <= start < end <= Iterations, the spec lowers without
 // error, and the campaign's first batch passes the runner's own
 // sim.RunSpec.Validate, so submit-time and run-time checks cannot drift.
 func FuzzJobSpec(f *testing.F) {
@@ -100,10 +162,7 @@ func FuzzJobSpec(f *testing.F) {
 				t.Fatalf("valid shard %d/%d of %d has range [%d, %d)", s.Index, s.Count, js.Iterations, start, end)
 			}
 		}
-		if _, err := js.CacheKey(); err != nil {
-			t.Fatalf("valid spec has no cache key: %v", err)
-		}
-		spec, err := js.campaignSpec()
+		spec, err := js.lower()
 		if err != nil {
 			t.Fatalf("valid spec has no campaign: %v", err)
 		}

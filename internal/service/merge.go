@@ -108,6 +108,7 @@ func (s *Server) MergeJobs(ids []string) (*Job, error) {
 	}
 	shards := make([]ShardResult, 0, len(ids))
 	var base JobSpec
+	var whole campaign.Spec
 	for i, id := range ids {
 		j, ok := s.Job(id)
 		if !ok {
@@ -119,15 +120,14 @@ func (s *Server) MergeJobs(ids []string) (*Job, error) {
 		if j.Spec.Shard == nil {
 			return nil, fmt.Errorf("service: merge: job %s is not a shard", id)
 		}
+		// Each shard carries the fingerprint of its job's unsharded
+		// campaign: the lowered shard spec over the whole iteration range.
+		// Mixed configs therefore fail MergeShards' equality check even
+		// before range validation.
+		unsharded := j.lowered
+		unsharded.Offset, unsharded.MaxIterations = 0, j.Spec.Iterations
 		if i == 0 {
-			base = j.Spec.unsharded()
-		}
-		// Each shard carries its job's shard-stripped fingerprint; mixed
-		// configs therefore fail MergeShards' equality check even before
-		// range validation.
-		fp, err := j.Spec.unsharded().Fingerprint()
-		if err != nil {
-			return nil, err
+			base, whole = j.Spec.unsharded(), unsharded
 		}
 		res, _ := j.Result()
 		start, end := j.Spec.Shard.Range(j.Spec.Iterations)
@@ -136,7 +136,7 @@ func (s *Server) MergeJobs(ids []string) (*Job, error) {
 			Count:       j.Spec.Shard.Count,
 			Offset:      start,
 			Iterations:  end - start,
-			Fingerprint: fp,
+			Fingerprint: unsharded.Fingerprint(),
 			Run:         res.Run,
 		})
 	}
@@ -145,42 +145,20 @@ func (s *Server) MergeJobs(ids []string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := base.campaignSpec()
-	if err != nil {
-		return nil, err
-	}
-	result := campaign.Summarize(spec, merged)
-
-	key := base.cacheKey(spec.Fingerprint())
+	now := s.opts.now()
 	fp := shards[0].Fingerprint
+	j := newJob(base, whole, fp, base.cacheKey(fp), now)
+	j.Merged = true
+	j.started = now
+	j.finish(JobDone, campaign.Summarize(whole, merged), nil, now)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing, ok := s.cache[key]; ok && existing.State() == JobDone {
+	if existing, ok := s.cache[j.CacheKey]; ok && existing.State() == JobDone {
 		s.hits.Add(1)
 		return existing, nil
 	}
-	s.nextSeq++
-	now := s.opts.now()
-	j := &Job{
-		ID:          fmt.Sprintf("j%06d", s.nextSeq),
-		Spec:        base,
-		Fingerprint: fp,
-		CacheKey:    key,
-		Merged:      true,
-		seq:         s.nextSeq,
-		state:       JobDone,
-		result:      result,
-		rates:       ratesOf(result),
-		submitted:   now,
-		started:     now,
-		finished:    now,
-		done:        make(chan struct{}),
-	}
-	close(j.done)
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	s.cache[key] = j
+	s.track(j)
 	s.merges.Add(1)
 	return j, nil
 }

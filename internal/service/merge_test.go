@@ -30,10 +30,7 @@ func runShards(t *testing.T, spec JobSpec, k int) []ShardResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := spec.unsharded().Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := jobOf(t, spec.unsharded()).Fingerprint
 	shards := make([]ShardResult, 0, k)
 	for i := 0; i < k; i++ {
 		sh := Shard{Index: i, Count: k}
@@ -243,11 +240,7 @@ func TestCacheKeyIdentity(t *testing.T) {
 	base := JobSpec{Params: fastParams(), Seed: 1, Iterations: 1000}
 	key := func(js JobSpec) string {
 		t.Helper()
-		k, err := js.CacheKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
+		return jobOf(t, js).CacheKey
 	}
 
 	same := base

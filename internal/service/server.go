@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"raidrel/internal/campaign"
-	"raidrel/internal/sim"
 )
 
 // Options configures a Server.
@@ -146,36 +145,35 @@ func (s *Server) Submit(spec JobSpec) (job *Job, reused bool, err error) {
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	if j, ok := s.cache[key]; ok {
-		switch j.State() {
+	if prev, ok := s.cache[key]; ok {
+		switch prev.State() {
 		case JobDone:
 			s.hits.Add(1)
-			return j, true, nil
+			return prev, true, nil
 		case JobQueued, JobRunning:
 			s.coalesced.Add(1)
-			return j, true, nil
+			return prev, true, nil
 		}
 		// Failed or canceled: fall through and replace the entry. A
 		// canceled job's checkpoint (if any) makes the rerun a resume.
 	}
 
-	s.nextSeq++
-	j := &Job{
-		ID:          fmt.Sprintf("j%06d", s.nextSeq),
-		Spec:        spec,
-		Fingerprint: fp,
-		CacheKey:    key,
-		seq:         s.nextSeq,
-		state:       JobQueued,
-		submitted:   s.opts.now(),
-		done:        make(chan struct{}),
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	s.cache[key] = j
+	j := newJob(spec, cspec, fp, key, s.opts.now())
+	s.track(j)
 	s.submitted.Add(1)
 	s.queue.Push(j)
 	return j, false, nil
+}
+
+// track gives j the next ID and submission sequence and registers it,
+// caching it under its key. Caller holds s.mu.
+func (s *Server) track(j *Job) {
+	s.nextSeq++
+	j.ID = fmt.Sprintf("j%06d", s.nextSeq)
+	j.seq = s.nextSeq
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j)
+	s.cache[j.CacheKey] = j
 }
 
 // Job looks up a tracked job.
@@ -203,19 +201,12 @@ func (s *Server) Cancel(id string) error {
 	if !ok {
 		return fmt.Errorf("service: unknown job %s", id)
 	}
-	j.mu.Lock()
-	state, cancel := j.state, j.cancel
-	j.mu.Unlock()
-	switch state {
+	switch state := j.stop(s.opts.now()); state {
 	case JobQueued:
-		j.finish(JobCanceled, nil, nil, s.opts.now())
 		s.canceled.Add(1)
 		s.evict(j)
 		return nil
 	case JobRunning:
-		// The campaign observes the context at its next batch boundary;
-		// the worker does the terminal bookkeeping.
-		cancel()
 		return nil
 	default:
 		return fmt.Errorf("service: job %s already %s", id, state)
@@ -295,48 +286,28 @@ func (s *Server) runJob(j *Job) {
 	draining := s.draining
 	s.mu.Unlock()
 
-	j.mu.Lock()
-	if j.state != JobQueued {
-		// Canceled while queued.
-		j.mu.Unlock()
-		return
-	}
 	if draining {
 		// Popped after a drain started: never simulated, just canceled.
-		j.mu.Unlock()
-		j.finish(JobCanceled, nil, nil, s.opts.now())
-		s.canceled.Add(1)
-		s.evict(j)
+		if j.stop(s.opts.now()) == JobQueued {
+			s.canceled.Add(1)
+			s.evict(j)
+		}
 		return
 	}
-	j.state = JobRunning
-	j.started = s.opts.now()
-	j.cancel = cancel
-	j.mu.Unlock()
+	if !j.start(cancel, s.opts.now()) {
+		return // canceled while queued
+	}
 
-	spec, err := j.Spec.campaignSpec()
-	if err != nil {
-		// Unreachable after Submit validation, but never let a bad spec
-		// take down a worker.
-		j.finish(JobFailed, nil, err, s.opts.now())
-		s.failed.Add(1)
-		s.evict(j)
-		return
-	}
+	spec := j.lowered
 	spec.Workers = s.opts.Workers
 	spec.Progress = campaign.ProgressFunc(j.publish)
 	if dir := s.opts.CheckpointDir; dir != "" {
-		path := filepath.Join(dir, checkpointName(j.CacheKey))
-		spec.Checkpoint = path
 		// A previous process (or a canceled run) left a checkpoint for this
-		// exact spec: continue it instead of starting over. Before a nil
-		// engine resolved to sim.DefaultEngine, the file was named by the
-		// event-engine cache key; the campaign resumes such a checkpoint on
-		// the event engine and journals it under the new name.
-		legacy := spec
-		legacy.Engine = sim.EventEngine{}
-		legacyPath := filepath.Join(dir, checkpointName(j.Spec.cacheKey(legacy.Fingerprint())))
-		for _, p := range []string{path, legacyPath} {
+		// exact spec: continue it instead of starting over.
+		names := j.checkpointNames()
+		spec.Checkpoint = filepath.Join(dir, names[0])
+		for _, name := range names {
+			p := filepath.Join(dir, name)
 			if _, err := os.Stat(p); err == nil {
 				spec.Resume = p
 				break
@@ -387,6 +358,18 @@ func (s *Server) evict(j *Job) {
 	if s.cache[j.CacheKey] == j {
 		delete(s.cache, j.CacheKey)
 	}
+}
+
+// checkpointNames returns the job's checkpoint file name and, when the
+// campaign has a LegacyFingerprint, the name its checkpoint had when a nil
+// engine meant the event engine. The campaign resumes such a file on the
+// event engine and journals it under the first name.
+func (j *Job) checkpointNames() []string {
+	names := []string{checkpointName(j.CacheKey)}
+	if fp := j.lowered.LegacyFingerprint(); fp != "" {
+		names = append(names, checkpointName(j.Spec.cacheKey(fp)))
+	}
+	return names
 }
 
 // checkpointName maps a cache key to a filesystem-safe checkpoint file.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,6 +220,73 @@ func TestCancelLifecycle(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedRacesDequeue holds Cancel of a queued job in the clock
+// hook until a scheduler slot has dequeued the job and started it. The
+// cancel must still stop the campaign: the job ends canceled, nothing
+// completes, and each submitted job reaches exactly one terminal count,
+// so a Cancel may not judge the job queued and act on that judgement
+// under a later lock hold.
+func TestCancelQueuedRacesDequeue(t *testing.T) {
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	s := New(Options{MaxConcurrent: 1, Workers: 1, now: func() time.Time {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return time.Now()
+	}})
+	defer s.Drain(context.Background())
+
+	blocker, _, err := s.Submit(longSpec(91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "blocker running", func() bool { return blocker.State() == JobRunning })
+	spec := JobSpec{Params: fastParams(), Seed: 92, Iterations: 200_000, BatchSize: 500}
+	victim, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// While the blocker runs, only Cancel reads the clock.
+	armed.Store(true)
+	errc := make(chan error, 1)
+	go func() { errc <- s.Cancel(victim.ID) }()
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Cancel never read the clock")
+	}
+	if err := s.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "victim dequeued", func() bool { return victim.State() == JobRunning })
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+
+	waitDone(t, victim)
+	waitUntil(t, "scheduler idle", func() bool { return s.Metrics().Running == 0 })
+	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if st := victim.State(); st != JobCanceled {
+		t.Fatalf("victim state = %s, want %s", st, JobCanceled)
+	}
+	if res, _ := victim.Result(); res != nil && res.Iterations >= spec.Iterations {
+		t.Fatalf("canceled victim's campaign ran all %d iterations", res.Iterations)
+	}
+	m := s.Metrics()
+	if m.Completed != 0 || m.Canceled != 2 || m.Completed+m.Canceled+m.Failed != m.Submitted {
+		t.Fatalf("completed=%d canceled=%d failed=%d of submitted=%d, want 0, 2, 0 of 2",
+			m.Completed, m.Canceled, m.Failed, m.Submitted)
+	}
+}
+
 // TestDrainCheckpointsAndResume is the SIGTERM acceptance path: a drain
 // stops the in-flight campaign at a batch boundary with its checkpoint
 // current, and a fresh server sharing the checkpoint directory finishes
@@ -292,7 +360,7 @@ func TestDrainCheckpointsAndResume(t *testing.T) {
 	}
 
 	// And the stitched-together campaign is the uninterrupted campaign.
-	cspec, err := spec.campaignSpec()
+	cspec, err := spec.lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +444,7 @@ func TestDrainResumesLegacyCheckpointName(t *testing.T) {
 		t.Fatalf("the two servers simulated %d iterations together, want exactly %d", total, spec.Iterations-2000)
 	}
 
-	cspec, err := spec.campaignSpec()
+	cspec, err := spec.lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +500,7 @@ func TestServerShardMerge(t *testing.T) {
 	}
 	mres, _ := merged.Result()
 
-	cspec, err := base.campaignSpec()
+	cspec, err := base.lower()
 	if err != nil {
 		t.Fatal(err)
 	}

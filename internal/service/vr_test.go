@@ -27,10 +27,7 @@ func runVRShards(t *testing.T, spec JobSpec, k int) []ShardResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := spec.unsharded().Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := jobOf(t, spec.unsharded()).Fingerprint
 	shards := make([]ShardResult, 0, k)
 	for i := 0; i < k; i++ {
 		sh := Shard{Index: i, Count: k}
@@ -80,7 +77,7 @@ func TestMergeShardsVRBitExact(t *testing.T) {
 		t.Errorf("merged VR tallies differ:\nmerged    %+v\nunsharded %+v", merged.VR, want.VR)
 	}
 
-	cspec, err := spec.campaignSpec()
+	cspec, err := spec.lower()
 	if err != nil {
 		t.Fatal(err)
 	}
